@@ -213,6 +213,11 @@ fn flush(c: &mut Conn) {
     }
 }
 
+/// How late (p99, ms) the generator may send in an open loop before the
+/// run is invalid. The same generator thread drives every open loop, so
+/// one bound serves them all.
+pub const LATE_BOUND_MS: f64 = 25.0;
+
 /// Sends `schedule` over two connections: open loop at `rate` requests/s,
 /// or closed loop (one in flight per connection) when `rate` is `None`.
 /// Requests still unanswered `grace` after the last one was due count as
@@ -396,8 +401,17 @@ impl Phase {
         self.outcomes.len() as f64 / self.cpu_s
     }
 
-    /// Checks that apply to every phase.
+    /// Checks that apply to every phase. An open loop is valid only if the
+    /// generator kept to its schedule.
     pub fn check(&self, name: &str, report: &mut Report) {
+        if self.rate.is_some() {
+            let late = self.late_p99_ms();
+            report.check(late <= LATE_BOUND_MS, || {
+                format!(
+                    "{name}: generator ran late, p99 {late:.3} ms beyond its {LATE_BOUND_MS} ms bound; run invalid"
+                )
+            });
+        }
         let stale = self.outcomes.iter().filter(|o| o.stale).count();
         report.check(stale == 0, || {
             format!("{name}: {stale} ingests refused as stale")

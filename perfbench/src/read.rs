@@ -6,6 +6,10 @@
 //! is estimates over distinct boxes (far more than the query cache holds,
 //! so they miss), a stated share drawn from a small hot set (which fits the
 //! cache), legacy `REQ_QUERY` and ping.
+//!
+//! No recorded production mix exists for this store, so the shares are
+//! arbitrary; each follows from a stated rule about the samples the
+//! metrics need (see `EST_SHARE`, `PING_SHARE` and `HOT_SHARE`).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -18,7 +22,7 @@ use sas_sampling::product::SpatialData;
 use sas_store::client::Client;
 use sas_store::server::{Server, ServerConfig};
 use sas_store::wire::Request;
-use sas_store::{StorageFormat, Store, StoreConfig};
+use sas_store::{Snapshot, StorageFormat, Store, StoreConfig};
 use sas_summaries::{encode_summary, Query, StoredSample, Summary, SummaryKind};
 
 use crate::daemon::{drive, latency_metrics, replay, replay_metrics, scrape, Class, Schedule};
@@ -36,8 +40,25 @@ const SIDE: u64 = 1 << 12;
 /// Query-cache capacity (the store default).
 const CACHE: usize = 1024;
 /// Hot boxes, and the share of estimates and queries drawn from them.
+/// Rule: the largest share, in steps of 0.05, whose slice hit share stays
+/// at least 4 binomial s.d. below one half, so every slice's median lies
+/// among cache misses. A slice holds about 640 requests of each class
+/// (14,000 open-loop requests at `--seconds 20`, 10 slices, 46%), so the
+/// s.d. is about 0.02: 0.4 keeps 5 s.d., 0.45 only 2.5. The p50s thus
+/// measure the per-window answer path, and the cache carries as much as
+/// it can without the p50s measuring cache hits instead.
 const HOT: usize = 32;
 const HOT_SHARE: f64 = 0.4;
+/// Ping share. Rule: the smallest share, in whole percent, whose expected
+/// count in the open loop at `--seconds 20` (14,000 requests) stays
+/// at least 1000 three binomial s.d. below its mean, so the ping p99
+/// (`server.ping_p99_ms`) has ten samples beyond it: 8% (mean 1120,
+/// s.d. 32).
+const PING_SHARE: f64 = 0.08;
+/// Estimate share. Rule: estimates and legacy queries are the two gated
+/// latency classes, so they split the rest equally and both tails rest
+/// on the same sample count: 46% each.
+const EST_SHARE: f64 = (1.0 - PING_SHARE) / 2.0;
 /// Offered open-loop rate, requests/s; below the knee on two cores.
 const RATE: f64 = 1000.0;
 /// Share of the run spent in the open loop; the closed loop sends a fixed
@@ -58,6 +79,10 @@ const ACCURACY: usize = 1500;
 struct Inputs {
     /// Raw rows `(x, y, w)` of every window, for exact truth.
     rows: Vec<(u64, u64, f64)>,
+    /// The catalog as ingested, before conversion: the windows' summaries
+    /// decoded on the heap rather than mapped segments, outside any query
+    /// cache. The daemon's answers are checked against it.
+    reference: Arc<Snapshot>,
     /// Encoded batch frames (the user bytes).
     user_bytes: u64,
 }
@@ -111,6 +136,7 @@ fn setup(dir: &Path) -> (Arc<Store>, Inputs) {
             .expect("set-up ingest");
         rows_all.extend(rows);
     }
+    let reference = store.snapshot();
     store.convert(StorageFormat::SegmentV2).expect("convert");
     drop(store);
     let store = Store::open(dir, config()).expect("reopen store");
@@ -118,6 +144,7 @@ fn setup(dir: &Path) -> (Arc<Store>, Inputs) {
         Arc::new(store),
         Inputs {
             rows: rows_all,
+            reference,
             user_bytes,
         },
     )
@@ -132,8 +159,9 @@ fn random_box(rng: &mut StdRng) -> Vec<(u64, u64)> {
     vec![side(rng), side(rng)]
 }
 
-/// The request list: 55% estimates, 30% legacy queries, 15% pings; a
-/// `HOT_SHARE` of estimates and queries repeat one of `HOT` boxes.
+/// The request list: `EST_SHARE` estimates, as many legacy queries,
+/// `PING_SHARE` pings; a `HOT_SHARE` of estimates and queries repeat one
+/// of `HOT` boxes.
 pub fn schedule(seed: u64, n: usize) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(mix(seed ^ 0x5EAD));
     let hot: Vec<Vec<(u64, u64)>> = (0..HOT).map(|_| random_box(&mut rng)).collect();
@@ -145,7 +173,7 @@ pub fn schedule(seed: u64, n: usize) -> Vec<Request> {
             } else {
                 random_box(&mut rng)
             };
-            if u < 0.55 {
+            if u < EST_SHARE {
                 Request::Estimate {
                     dataset: DATASET.into(),
                     kind: SummaryKind::Sample,
@@ -153,7 +181,7 @@ pub fn schedule(seed: u64, n: usize) -> Vec<Request> {
                     confidence: 0.95,
                     time: None,
                 }
-            } else if u < 0.85 {
+            } else if u < 2.0 * EST_SHARE {
                 Request::Query {
                     dataset: DATASET.into(),
                     kind: SummaryKind::Sample,
@@ -223,8 +251,10 @@ pub fn run(args: &Args) -> Report {
 
     // The registry is read before the checks below add their own queries.
     let registry = store.obs().snapshot();
-    // Daemon answers must equal in-process answers on the same snapshot,
-    // bit for bit.
+    // Daemon answers (wire, query cache, mapped segments) must equal, bit
+    // for bit, the answers of the catalog as ingested, computed directly
+    // on its heap summaries with no cache in between.
+    let reference = &inputs.reference;
     let mut client = Client::connect(addr).expect("checker connection");
     let reads = open
         .requests
@@ -241,10 +271,10 @@ pub fn run(args: &Args) -> Report {
                 time,
             } => {
                 let remote = client.estimate(dataset, *kind, query, *confidence, *time);
-                let local = store.estimate(dataset, *kind, query, *confidence, *time);
+                let local = reference.estimate(dataset, *kind, query, *confidence, *time);
                 match (remote, local) {
-                    (Ok(r), Ok(l)) => {
-                        let (a, b) = (r.estimate, l.estimate);
+                    (Ok(r), Ok((b, _))) => {
+                        let a = r.estimate;
                         report.check(
                             same_bits(a.value, b.value)
                                 && same_bits(a.lower, b.lower)
@@ -264,13 +294,10 @@ pub fn run(args: &Args) -> Report {
                 time,
             } => {
                 let remote = client.query(dataset, *kind, range, *time);
-                let local = store.query(dataset, *kind, range, *time);
+                let (local, _) = reference.query(dataset, *kind, range, *time);
                 match remote {
-                    Ok(r) => report.check(same_bits(r.value, local.value), || {
-                        format!(
-                            "daemon query {} differs from in-process {}",
-                            r.value, local.value
-                        )
+                    Ok(r) => report.check(same_bits(r.value, local), || {
+                        format!("daemon query {} differs from in-process {local}", r.value)
                     }),
                     Err(e) => report.check(false, || format!("check query failed: {e}")),
                 }
@@ -418,7 +445,6 @@ pub fn run(args: &Args) -> Report {
         "generator late p99 {:.4} ms",
         open_phase.late_p99_ms()
     ));
-    check_late(&open_phase, &mut report);
     report
 }
 
@@ -486,19 +512,6 @@ fn keep_write_side(report: &mut Report, write: Report) {
         .extend(write.notes.into_iter().map(|n| format!("write phase: {n}")));
 }
 
-/// The open loop is valid only if the generator kept to its schedule.
-pub fn check_late(phase: &crate::daemon::Phase, report: &mut Report) {
-    let late = phase.late_p99_ms();
-    report.check(late <= LATE_BOUND_MS, || {
-        format!(
-            "generator ran late: p99 {late:.3} ms beyond its {LATE_BOUND_MS} ms bound; run invalid"
-        )
-    });
-}
-
-/// How late (p99, ms) the generator may send before a run is invalid.
-pub const LATE_BOUND_MS: f64 = 25.0;
-
 /// Per-layer numbers read from the store directory after the run: on-disk
 /// bytes per user byte, a timed reopen (and the recovery counters it
 /// records), and `SegmentSummary::open` over each segment file.
@@ -553,7 +566,7 @@ pub fn layer_store_files(report: &mut Report, dir: &Path, user_bytes: u64, t: &m
     }
 }
 
-fn walk(dir: &Path) -> Vec<std::path::PathBuf> {
+pub fn walk(dir: &Path) -> Vec<std::path::PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {

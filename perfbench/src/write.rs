@@ -3,11 +3,12 @@
 //! time-filtered estimates, over a catalog of ~900 1-D windows across 20
 //! datasets.
 //!
-//! Set-up restores every dataset's sealed history (hour windows) and an
-//! open hour partly filled with minute windows. Half the ingests merge into
-//! a dataset's open minute and half open the next one; as open hours fill,
-//! their minutes seal into an hour, so the daemon's `lifecycle_every`
-//! compaction does real work. A dataset never merges into the last minute
+//! Set-up ingests, through `Store::ingest`, every dataset's history (one
+//! batch in each of a few hours) and an open hour partly filled with
+//! minute windows; one lifecycle tick then seals the history into hour
+//! windows. Half the ingests merge into a dataset's open minute and half
+//! open the next one; as open hours fill, their minutes seal into an hour,
+//! so the daemon's `lifecycle_every` compaction does real work. A dataset never merges into the last minute
 //! of an hour (that minute seals the hour), so no ingest is ever scheduled
 //! behind a sealed hour and none may be refused as stale. Every ingest
 //! fsyncs its frame and rewrites and fsyncs the full manifest.
@@ -26,15 +27,13 @@ use rand::{Rng, SeedableRng};
 
 use sas_core::WeightedKey;
 use sas_store::client::Client;
-use sas_store::manifest::{Manifest, ManifestEntry};
 use sas_store::server::{Server, ServerConfig};
-use sas_store::window::WindowKey;
 use sas_store::wire::Request;
-use sas_store::{frame_path, fsio, rebuild_parent, Store, StoreConfig, MANIFEST_FILE};
+use sas_store::{Store, StoreConfig};
 use sas_summaries::{decode_summary, encode_summary, Query, StoredSample, SummaryKind};
 
 use crate::daemon::{drive, replay, replay_metrics, scrape, Class, Schedule};
-use crate::read::layer_store_files;
+use crate::read::{layer_store_files, walk};
 use crate::stats::{percentile, Report};
 use crate::trace::Tracer;
 use crate::{mix, Args};
@@ -138,46 +137,35 @@ fn open_store(dir: &Path) -> Store {
     .expect("open store")
 }
 
-/// Builds the catalog as a restore from frames would: every window's
-/// frame is written (without a per-window fsync), then the manifest
-/// (atomically), then `Store::open` recovers the store. History hours hold
-/// what compaction makes of their one minute (`rebuild_parent`); open-hour
-/// minutes hold their one batch. Set-up thus costs data generation, frame
-/// encoding and recovery, and not ~900 fsync-bound ingests, whose time on
-/// a shared virtual disk varies by half from one minute to the next.
+/// Builds the catalog through the store's own write path: every set-up
+/// batch is ingested (each fsyncs its frame and the full manifest), then
+/// one lifecycle tick rolls the sealed history minutes up into hours.
 fn setup(dir: &Path) -> (Arc<Store>, Vec<Batch>, Cursor) {
     let _ = std::fs::remove_dir_all(dir);
     let (history, open, cursor) = setup_batches();
-    let mut entries = Vec::new();
-    for b in &history {
-        let minute = WindowKey::minute(&dataset(b.dataset), KIND, b.ts);
-        let hour = minute.parent().expect("minutes have parents");
-        let child = decode_summary(&b.frame).expect("own frame");
-        let summary = rebuild_parent(&hour, vec![child], Some(BUDGET)).expect("roll-up");
-        entries.push((hour, encode_summary(summary.as_ref())));
-    }
-    for b in &open {
-        let minute = WindowKey::minute(&dataset(b.dataset), KIND, b.ts);
-        entries.push((minute, b.frame.clone()));
-    }
-    let mut manifest = Manifest::default();
-    for (key, bytes) in entries {
-        let path = frame_path(dir, &key);
-        std::fs::create_dir_all(path.parent().expect("frames live in a directory"))
-            .expect("create frame directory");
-        std::fs::write(&path, &bytes).expect("write frame");
-        manifest.entries.push(ManifestEntry {
-            key,
-            batches: 1,
-            frame_bytes: bytes.len() as u64,
-        });
-    }
-    manifest.sequence = 1;
-    fsio::write_atomic(&dir.join(MANIFEST_FILE), &manifest.encode()).expect("write manifest");
     let store = open_store(dir);
+    for b in history.iter().chain(&open) {
+        let batch = decode_summary(&b.frame).expect("own frame");
+        store
+            .ingest(&dataset(b.dataset), b.ts, batch)
+            .expect("set-up ingest");
+    }
+    store.lifecycle_tick().expect("seal the history hours");
     let mut batches = history;
     batches.extend(open);
     (Arc::new(store), batches, cursor)
+}
+
+/// Copies the directory of an idle store (no write in flight), file by
+/// file.
+fn copy_store(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    for file in walk(from) {
+        let dest = to.join(file.strip_prefix(from).expect("inside the store"));
+        std::fs::create_dir_all(dest.parent().expect("files live in a directory"))
+            .expect("create directory");
+        std::fs::copy(&file, &dest).expect("copy store file");
+    }
 }
 
 /// The request list after set-up. The timestamp schedule is the same for
@@ -243,6 +231,9 @@ pub fn write_phase(args: &Args) -> (Report, Tracer) {
     let mut report = Report::default();
     let dir = args.work.join("write");
     let (store, mut batches, cursor) = setup(&dir);
+    // The replay below runs on a copy of the set-up catalog.
+    let replay_dir = args.work.join("write-replay");
+    copy_store(&dir, &replay_dir);
     let windows_start = store.snapshot().windows.len();
     let open_n = (RATE * args.seconds * OPEN_SHARE) as usize;
     let closed_n = (CLOSED_PER_S * args.seconds) as usize;
@@ -281,8 +272,10 @@ pub fn write_phase(args: &Args) -> (Report, Tracer) {
     let registry = store.obs().snapshot();
     // Quiesce: one lifecycle tick seals whatever is sealable, after which
     // the daemon's own ticks change nothing and the snapshot stays put.
+    // Daemon answers (wire, query cache) must equal, bit for bit, answers
+    // computed directly on that snapshot with no cache in between.
     store.lifecycle_tick().expect("final lifecycle tick");
-    let version = store.snapshot().version;
+    let quiesced = store.snapshot();
     let mut client = Client::connect(addr).expect("checker connection");
     let estimates = open
         .requests
@@ -301,10 +294,10 @@ pub fn write_phase(args: &Args) -> (Report, Tracer) {
             unreachable!("filtered to estimates")
         };
         let remote = client.estimate(dataset, *kind, query, *confidence, *time);
-        let local = store.estimate(dataset, *kind, query, *confidence, *time);
+        let local = quiesced.estimate(dataset, *kind, query, *confidence, *time);
         match (remote, local) {
-            (Ok(r), Ok(l)) => {
-                let (a, b) = (r.estimate, l.estimate);
+            (Ok(r), Ok((b, _))) => {
+                let a = r.estimate;
                 report.check(
                     a.value.to_bits() == b.value.to_bits()
                         && a.lower.to_bits() == b.lower.to_bits()
@@ -316,7 +309,7 @@ pub fn write_phase(args: &Args) -> (Report, Tracer) {
         }
     }
     drop(client);
-    report.check(store.snapshot().version == version, || {
+    report.check(store.snapshot().version == quiesced.version, || {
         "the catalog changed while answers were compared".into()
     });
     let stats = store.stats();
@@ -364,8 +357,7 @@ pub fn write_phase(args: &Args) -> (Report, Tracer) {
             stat("items") as f64 / stat("windows").max(1) as f64,
         );
         layer_store_files(&mut report, &dir, user_bytes, &mut t);
-        let fresh = args.work.join("write-replay");
-        let (fresh_store, _, _) = setup(&fresh);
+        let fresh_store = open_store(&replay_dir);
         let r = replay(&fresh_store, &open.requests, &mut t);
         replay_metrics(&mut report, &r, &t);
     }
