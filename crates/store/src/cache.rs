@@ -26,29 +26,16 @@ pub struct CacheKey {
     pub kind_tag: u16,
     /// Canonical wire bytes of the query.
     pub query: Vec<u8>,
-    /// Bit pattern of the requested confidence, or [`PLAIN_CONFIDENCE`]
-    /// for the value-only legacy path (a NaN pattern no real confidence
-    /// can collide with).
+    /// Bit pattern of the requested confidence.
     pub confidence_bits: u64,
     /// Optional window-time filter.
     pub time: Option<(u64, u64)>,
 }
 
-/// The `confidence_bits` sentinel for the value-only (pre-estimate) query
-/// path.
-pub const PLAIN_CONFIDENCE: u64 = u64::MAX;
-
-/// A cached answer: either a plain value (legacy `REQ_QUERY` path) or a
-/// full estimate, each with the window count it consulted (both pure
-/// functions of the versioned key, so a hit answers the whole query
+/// A cached answer: the estimate and the window count it consulted (both
+/// pure functions of the versioned key, so a hit answers the whole query
 /// without touching the catalog).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CachedAnswer {
-    /// Value-only answer.
-    Plain(f64, u64),
-    /// Estimate with bounds.
-    Estimate(Estimate, u64),
-}
+pub type CachedAnswer = (Estimate, u64);
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -138,21 +125,21 @@ mod tests {
             dataset: "d".into(),
             kind_tag: 1,
             query: Query::interval(lo, lo + 10).canonical_bytes().unwrap(),
-            confidence_bits: PLAIN_CONFIDENCE,
+            confidence_bits: 0.95f64.to_bits(),
             time: None,
         }
     }
 
-    fn plain(v: f64) -> CachedAnswer {
-        CachedAnswer::Plain(v, 1)
+    fn exact(v: f64) -> CachedAnswer {
+        (Estimate::exact(v), 1)
     }
 
     #[test]
     fn hit_miss_and_version_isolation() {
         let cache = QueryCache::new(8);
         assert_eq!(cache.get(&key(1, 0)), None);
-        cache.put(key(1, 0), plain(42.0));
-        assert_eq!(cache.get(&key(1, 0)), Some(plain(42.0)));
+        cache.put(key(1, 0), exact(42.0));
+        assert_eq!(cache.get(&key(1, 0)), Some(exact(42.0)));
         // A new snapshot version misses — stale answers are unaddressable.
         assert_eq!(cache.get(&key(2, 0)), None);
     }
@@ -173,69 +160,74 @@ mod tests {
             dataset: "d".into(),
             kind_tag: 1,
             query: q.canonical_bytes().unwrap(),
-            confidence_bits: PLAIN_CONFIDENCE,
+            confidence_bits: 0.95f64.to_bits(),
             time: None,
         };
-        cache.put(mk(&spellings[0]), plain(7.0));
+        cache.put(mk(&spellings[0]), exact(7.0));
         for q in &spellings {
-            assert_eq!(cache.get(&mk(q)), Some(plain(7.0)), "{q}");
+            assert_eq!(cache.get(&mk(q)), Some(exact(7.0)), "{q}");
         }
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn confidence_isolates_estimates_from_plain_answers() {
+    fn confidence_isolates_otherwise_equal_keys() {
         let cache = QueryCache::new(8);
-        let mk = |bits: u64| CacheKey {
-            confidence_bits: bits,
+        let mk = |confidence: f64| CacheKey {
+            confidence_bits: confidence.to_bits(),
             ..key(1, 0)
         };
-        cache.put(mk(PLAIN_CONFIDENCE), plain(5.0));
-        assert_eq!(cache.get(&mk(0.95f64.to_bits())), None);
-        let est = CachedAnswer::Estimate(
-            Estimate {
-                value: 5.0,
-                variance: 1.0,
-                lower: 3.0,
-                upper: 8.0,
-                confidence: 0.95,
-            },
-            2,
-        );
-        cache.put(mk(0.95f64.to_bits()), est);
-        assert_eq!(cache.get(&mk(0.95f64.to_bits())), Some(est));
-        assert_eq!(cache.get(&mk(PLAIN_CONFIDENCE)), Some(plain(5.0)));
+        let estimate = |confidence: f64, lower: f64, upper: f64| {
+            (
+                Estimate {
+                    value: 5.0,
+                    variance: 1.0,
+                    lower,
+                    upper,
+                    confidence,
+                },
+                2,
+            )
+        };
+        let at_95 = estimate(0.95, 3.0, 8.0);
+        cache.put(mk(0.95), at_95);
+        assert_eq!(cache.get(&mk(0.9)), None);
+        let at_90 = estimate(0.9, 3.5, 7.0);
+        cache.put(mk(0.9), at_90);
+        assert_eq!(cache.get(&mk(0.9)), Some(at_90));
+        assert_eq!(cache.get(&mk(0.95)), Some(at_95));
+        assert_eq!(cache.len(), 2);
         // A different confidence is a different answer.
-        assert_eq!(cache.get(&mk(0.5f64.to_bits())), None);
+        assert_eq!(cache.get(&mk(0.5)), None);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = QueryCache::new(2);
-        cache.put(key(1, 0), plain(0.0));
-        cache.put(key(1, 100), plain(1.0));
+        cache.put(key(1, 0), exact(0.0));
+        cache.put(key(1, 100), exact(1.0));
         // Touch key 0 so key 100 is the LRU victim.
-        assert_eq!(cache.get(&key(1, 0)), Some(plain(0.0)));
-        cache.put(key(1, 200), plain(2.0));
+        assert_eq!(cache.get(&key(1, 0)), Some(exact(0.0)));
+        cache.put(key(1, 200), exact(2.0));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&key(1, 100)), None, "LRU entry evicted");
-        assert_eq!(cache.get(&key(1, 0)), Some(plain(0.0)));
-        assert_eq!(cache.get(&key(1, 200)), Some(plain(2.0)));
+        assert_eq!(cache.get(&key(1, 0)), Some(exact(0.0)));
+        assert_eq!(cache.get(&key(1, 200)), Some(exact(2.0)));
     }
 
     #[test]
     fn reinsert_updates_value_without_growing() {
         let cache = QueryCache::new(2);
-        cache.put(key(1, 0), plain(1.0));
-        cache.put(key(1, 0), plain(2.0));
+        cache.put(key(1, 0), exact(1.0));
+        cache.put(key(1, 0), exact(2.0));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&key(1, 0)), Some(plain(2.0)));
+        assert_eq!(cache.get(&key(1, 0)), Some(exact(2.0)));
     }
 
     #[test]
     fn zero_capacity_disables() {
         let cache = QueryCache::new(0);
-        cache.put(key(1, 0), plain(1.0));
+        cache.put(key(1, 0), exact(1.0));
         assert!(cache.is_empty());
         assert_eq!(cache.get(&key(1, 0)), None);
     }
@@ -248,7 +240,7 @@ mod tests {
                 let cache = cache.clone();
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
-                        cache.put(key(t, (i % 40) * 100), plain(i as f64));
+                        cache.put(key(t, (i % 40) * 100), exact(i as f64));
                         cache.get(&key(t, ((i + 7) % 40) * 100));
                     }
                 })

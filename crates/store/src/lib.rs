@@ -18,7 +18,8 @@
 //!   lock-free; writers build the next snapshot on the side and swap it in.
 //!   An LRU [`QueryCache`](cache::QueryCache) keyed by snapshot version
 //!   memoizes hot range queries and can never serve a stale answer.
-//! * **Merge-tree compaction** — a background pass rolls sealed minute
+//! * **Merge-tree compaction** — each [`Store::lifecycle_tick`] (the
+//!   daemon drives it from its event-loop timer) rolls sealed minute
 //!   windows into hours and hours into days with
 //!   [`sas_summaries::merge_tree`] under a per-window deterministic seed,
 //!   so a compacted window is **bit-identical** to an offline rebuild of
@@ -51,9 +52,8 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,7 +69,7 @@ use sas_summaries::{
     QueryError, SegmentSummary, Summary, SummaryError, SummaryKind,
 };
 
-use cache::{CacheKey, CachedAnswer, QueryCache, PLAIN_CONFIDENCE};
+use cache::{CacheKey, QueryCache};
 use manifest::{Manifest, ManifestEntry};
 use policy::{Coverage, Policy};
 use window::{valid_dataset, window_seed, Level, WindowKey};
@@ -309,33 +309,25 @@ struct WriterState {
     manifest_sequence: u64,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    ingested: AtomicU64,
-    rollups: AtomicU64,
-    compaction_passes: AtomicU64,
-    retention_passes: AtomicU64,
-    expired_windows: AtomicU64,
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    recovered_windows: AtomicU64,
-    orphans_removed: AtomicU64,
-    temp_files_swept: AtomicU64,
-}
-
-/// The store's metric registry plus pre-resolved hot-path handles. Fixed
-/// cells are resolved once at open; per-dataset cache counters arrive at
-/// runtime, so they are memoized in a map and the query path pays one
-/// `RwLock` read instead of a registry lock per request.
+/// The store's metric registry plus pre-resolved hot-path handles — the
+/// store's only counters: `REQ_METRICS` exposes them and [`Store::stats`]
+/// reads them. Fixed cells are resolved once at open; per-dataset cache
+/// counters arrive at runtime, so they are memoized in a map and the query
+/// path pays one `RwLock` read instead of a registry lock per request.
 #[derive(Debug)]
 struct StoreObs {
     registry: Arc<Registry>,
+    ingested_batches: Arc<ObsCounter>,
+    rollups: Arc<ObsCounter>,
     compactions: Arc<ObsCounter>,
     compaction_ns: Arc<ObsHistogram>,
     segment_hydrations: Arc<ObsCounter>,
     retention_passes: Arc<ObsCounter>,
     expired_windows: Arc<ObsCounter>,
+    queries: Arc<ObsCounter>,
+    recovered_windows: Arc<ObsCounter>,
+    orphans_removed: Arc<ObsCounter>,
+    temp_files_swept: Arc<ObsCounter>,
     datasets: RwLock<HashMap<String, CacheCells>>,
 }
 
@@ -349,14 +341,28 @@ struct CacheCells {
 impl StoreObs {
     fn new(registry: Arc<Registry>) -> StoreObs {
         StoreObs {
+            ingested_batches: registry.counter("sas_store_ingested_batches_total"),
+            rollups: registry.counter("sas_store_rollups_total"),
             compactions: registry.counter("sas_store_compactions_total"),
             compaction_ns: registry.histogram("sas_store_compaction_ns"),
             segment_hydrations: registry.counter("sas_store_segment_hydrations_total"),
             retention_passes: registry.counter("sas_store_retention_passes_total"),
             expired_windows: registry.counter("sas_store_expired_windows_total"),
+            queries: registry.counter("sas_store_queries_total"),
+            recovered_windows: registry.counter("sas_store_recovered_windows"),
+            orphans_removed: registry.counter("sas_store_orphans_removed"),
+            temp_files_swept: registry.counter("sas_store_temp_files_swept"),
             datasets: RwLock::new(HashMap::new()),
             registry,
         }
+    }
+
+    /// Cache hits and misses summed over every dataset label.
+    fn cache_totals(&self) -> (u64, u64) {
+        let datasets = self.datasets.read().expect("obs lock");
+        datasets.values().fold((0, 0), |(hits, misses), cells| {
+            (hits + cells.hits.get(), misses + cells.misses.get())
+        })
     }
 }
 
@@ -368,7 +374,6 @@ pub struct Store {
     snapshot: RwLock<Arc<Snapshot>>,
     writer: Mutex<WriterState>,
     cache: QueryCache,
-    counters: Counters,
     obs: StoreObs,
 }
 
@@ -495,26 +500,15 @@ impl Store {
                 retention_floors: manifest.retention_floors.clone(),
             })),
             writer: Mutex::new(writer),
-            counters: Counters::default(),
             obs: StoreObs::new(Arc::new(Registry::new())),
         };
         let recovered = manifest.entries.len() as u64;
-        store
-            .counters
-            .recovered_windows
-            .store(recovered, Ordering::Relaxed);
-        store
-            .counters
-            .orphans_removed
-            .store(orphans, Ordering::Relaxed);
-        store
-            .counters
-            .temp_files_swept
-            .store(swept, Ordering::Relaxed);
+        store.obs.recovered_windows.add(recovered);
+        store.obs.orphans_removed.add(orphans);
+        store.obs.temp_files_swept.add(swept);
         let recovery_ns = recovery_started.elapsed().as_nanos() as u64;
         let obs = &store.obs.registry;
         obs.counter("sas_store_recovery_ns").record_max(recovery_ns);
-        obs.counter("sas_store_recovered_windows").add(recovered);
         obs.counter("sas_store_recovered_windows_mapped")
             .add(mapped_windows);
         obs.counter("sas_store_recovered_windows_hydrated")
@@ -651,13 +645,17 @@ impl Store {
         // persisted lifecycle state can never lag the windows it governs.
         bump_max(&mut writer.watermarks, series, key.end());
         self.persist_and_publish(&mut writer, windows, snap.version)?;
-        self.counters.ingested.fetch_add(1, Ordering::Relaxed);
+        self.obs.ingested_batches.inc();
         Ok(state)
     }
 
-    /// Answers a value-only range query from the current snapshot, through
-    /// the LRU cache — the legacy `REQ_QUERY` path, kept bit-identical for
-    /// old clients. New code should prefer [`Store::estimate`].
+    /// Answers a value-only range query from the current snapshot — the
+    /// legacy `REQ_QUERY` path. It is [`Store::estimate`] of the box at
+    /// confidence 0.95 with the bounds dropped, so it shares the
+    /// estimate's cache entry and value bits. The two boxes `estimate`
+    /// rejects but this path always accepted — axes beyond a window's
+    /// dimensionality (dropped) and reversed bounds (answered as 0) — fall
+    /// back to the uncached [`Snapshot::query`].
     pub fn query(
         &self,
         dataset: &str,
@@ -665,45 +663,24 @@ impl Store {
         range: &[(u64, u64)],
         time: Option<(u64, u64)>,
     ) -> QueryAnswer {
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
         let snap = self.snapshot();
-        // An unencodable range (reversed bounds) cannot be cached; answer
-        // it directly (range_sum treats it as empty, preserving the old
-        // behaviour).
-        let cache_key = Query::BoxRange(range.to_vec())
-            .canonical_bytes()
-            .ok()
-            .map(|query| CacheKey {
-                version: snap.version,
-                dataset: dataset.to_string(),
-                kind_tag: kind.tag(),
-                query,
-                confidence_bits: PLAIN_CONFIDENCE,
-                time,
-            });
-        if let Some(key) = &cache_key {
-            if let Some(CachedAnswer::Plain(value, windows)) = self.cache.get(key) {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.cache_cells(dataset).hits.inc();
-                return QueryAnswer {
+        let query = Query::BoxRange(range.to_vec());
+        match self.estimate_on(&snap, dataset, kind, &query, LEGACY_CONFIDENCE, time) {
+            Ok(answer) => QueryAnswer {
+                value: answer.estimate.value,
+                windows: answer.windows,
+                cached: answer.cached,
+                version: answer.version,
+            },
+            Err(_) => {
+                let (value, windows) = snap.query(dataset, kind, range, time);
+                QueryAnswer {
                     value,
                     windows,
-                    cached: true,
+                    cached: false,
                     version: snap.version,
-                };
+                }
             }
-        }
-        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.cache_cells(dataset).misses.inc();
-        let (value, windows) = snap.query(dataset, kind, range, time);
-        if let Some(key) = cache_key {
-            self.cache.put(key, CachedAnswer::Plain(value, windows));
-        }
-        QueryAnswer {
-            value,
-            windows,
-            cached: false,
-            version: snap.version,
         }
     }
 
@@ -751,7 +728,7 @@ impl Store {
         time: Option<(u64, u64)>,
     ) -> Result<EstimateAnswer, StoreError> {
         let bad = |e: QueryError| StoreError::BadRequest(e.to_string());
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        self.obs.queries.inc();
         let cache_key = CacheKey {
             version: snap.version,
             dataset: dataset.to_string(),
@@ -760,8 +737,7 @@ impl Store {
             confidence_bits: confidence.to_bits(),
             time,
         };
-        if let Some(CachedAnswer::Estimate(estimate, windows)) = self.cache.get(&cache_key) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some((estimate, windows)) = self.cache.get(&cache_key) {
             self.cache_cells(dataset).hits.inc();
             return Ok(EstimateAnswer {
                 estimate,
@@ -770,13 +746,11 @@ impl Store {
                 version: snap.version,
             });
         }
-        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.cache_cells(dataset).misses.inc();
         let (estimate, windows) = snap
             .estimate(dataset, kind, query, confidence, time)
             .map_err(bad)?;
-        self.cache
-            .put(cache_key, CachedAnswer::Estimate(estimate, windows));
+        self.cache.put(cache_key, (estimate, windows));
         Ok(EstimateAnswer {
             estimate,
             windows,
@@ -800,7 +774,7 @@ impl Store {
     }
 
     /// Store statistics as ordered name/value pairs (also the `stats`
-    /// protocol response).
+    /// protocol response). The counter rows read the metric registry.
     pub fn stats(&self) -> Vec<(String, u64)> {
         let snap = self.snapshot();
         let per_level =
@@ -818,8 +792,8 @@ impl Store {
                 .map(|w| w.frame_bytes)
                 .sum()
         };
-        let c = &self.counters;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let obs = &self.obs;
+        let (cache_hits, cache_misses) = obs.cache_totals();
         vec![
             ("windows".into(), snap.windows.len() as u64),
             ("minute_windows".into(), per_level(Level::Minute)),
@@ -831,18 +805,18 @@ impl Store {
             ("hour_frame_bytes".into(), level_bytes(Level::Hour)),
             ("day_frame_bytes".into(), level_bytes(Level::Day)),
             ("snapshot_version".into(), snap.version),
-            ("ingested_batches".into(), get(&c.ingested)),
-            ("rollups".into(), get(&c.rollups)),
-            ("compaction_passes".into(), get(&c.compaction_passes)),
-            ("retention_passes".into(), get(&c.retention_passes)),
-            ("expired_windows".into(), get(&c.expired_windows)),
-            ("queries".into(), get(&c.queries)),
-            ("cache_hits".into(), get(&c.cache_hits)),
-            ("cache_misses".into(), get(&c.cache_misses)),
+            ("ingested_batches".into(), obs.ingested_batches.get()),
+            ("rollups".into(), obs.rollups.get()),
+            ("compaction_passes".into(), obs.compactions.get()),
+            ("retention_passes".into(), obs.retention_passes.get()),
+            ("expired_windows".into(), obs.expired_windows.get()),
+            ("queries".into(), obs.queries.get()),
+            ("cache_hits".into(), cache_hits),
+            ("cache_misses".into(), cache_misses),
             ("cache_entries".into(), self.cache.len() as u64),
-            ("recovered_windows".into(), get(&c.recovered_windows)),
-            ("orphans_removed".into(), get(&c.orphans_removed)),
-            ("temp_files_swept".into(), get(&c.temp_files_swept)),
+            ("recovered_windows".into(), obs.recovered_windows.get()),
+            ("orphans_removed".into(), obs.orphans_removed.get()),
+            ("temp_files_swept".into(), obs.temp_files_swept.get()),
         ]
     }
 
@@ -852,9 +826,6 @@ impl Store {
     pub fn compact_once(&self) -> Result<usize, StoreError> {
         let pass_started = Instant::now();
         let mut writer = self.writer.lock().expect("writer lock");
-        self.counters
-            .compaction_passes
-            .fetch_add(1, Ordering::Relaxed);
         self.obs.compactions.inc();
         let snap = self.snapshot();
         let mut windows = snap.windows.clone();
@@ -925,9 +896,7 @@ impl Store {
             for path in doomed_paths {
                 fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
             }
-            self.counters
-                .rollups
-                .fetch_add(rollups as u64, Ordering::Relaxed);
+            self.obs.rollups.add(rollups as u64);
         }
         let elapsed = pass_started.elapsed();
         self.obs.compaction_ns.record_duration(elapsed);
@@ -958,9 +927,6 @@ impl Store {
     /// Returns the number of windows dropped.
     pub fn retain_once(&self) -> Result<usize, StoreError> {
         let mut writer = self.writer.lock().expect("writer lock");
-        self.counters
-            .retention_passes
-            .fetch_add(1, Ordering::Relaxed);
         self.obs.retention_passes.inc();
         let snap = self.snapshot();
         let mut windows = snap.windows.clone();
@@ -990,9 +956,6 @@ impl Store {
             for path in doomed_paths {
                 fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
             }
-            self.counters
-                .expired_windows
-                .fetch_add(expired as u64, Ordering::Relaxed);
             self.obs.expired_windows.add(expired as u64);
             slog!(LogLevel::Debug, "retention_pass", expired = expired);
         }
@@ -1001,8 +964,8 @@ impl Store {
 
     /// One deterministic lifecycle tick: retention first (expired minutes
     /// must not be sealed into parents), then compaction. The daemon's
-    /// event loop drives this on its timer; offline tools may call it
-    /// directly — the result depends only on the store state, not on who
+    /// event loop drives this on its timer; embedded users and offline
+    /// tools call it directly — the result depends only on the store state, not on who
     /// ticks or when.
     pub fn lifecycle_tick(&self) -> Result<LifecycleStats, StoreError> {
         let expired = self.retain_once()?;
@@ -1169,6 +1132,11 @@ pub struct LifecycleStats {
     pub rollups: usize,
 }
 
+/// The confidence [`Store::query`] answers at: the level the
+/// [`Summary::range_sum`] shim (and so [`Snapshot::query`]) uses. The
+/// value does not depend on it; it only names the shared cache entry.
+const LEGACY_CONFIDENCE: f64 = 0.95;
+
 /// The multiplier spreading a window's batch counter into its merge seed.
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
@@ -1234,69 +1202,4 @@ fn series_of(key: &WindowKey) -> (String, u16) {
 fn bump_max(map: &mut HashMap<(String, u16), u64>, series: (String, u16), value: u64) {
     let slot = map.entry(series).or_insert(0);
     *slot = (*slot).max(value);
-}
-
-/// Handle to the background lifecycle thread; stops and joins on drop.
-/// The daemon drives [`Store::lifecycle_tick`] from its event loop instead;
-/// this thread serves embedded users of the store.
-#[derive(Debug)]
-pub struct Compactor {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Compactor {
-    /// Spawns a thread running [`Store::lifecycle_tick`] every `interval`.
-    pub fn start(store: Arc<Store>, interval: Duration) -> Compactor {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_stop = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("sas-store-compactor".into())
-            .spawn(move || {
-                let (lock, cvar) = &*thread_stop;
-                let mut stopped = lock.lock().expect("compactor lock");
-                loop {
-                    let (guard, _) = cvar
-                        .wait_timeout(stopped, interval)
-                        .expect("compactor wait");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    // Lifecycle failures must not kill the thread; the
-                    // next pass retries (the store itself stays valid —
-                    // snapshots only swap after a full successful pass).
-                    if let Err(e) = store.lifecycle_tick() {
-                        slog!(LogLevel::Warn, "lifecycle_tick_failed", err = e);
-                    }
-                    stopped = lock.lock().expect("compactor lock");
-                }
-            })
-            .expect("spawn compactor");
-        Compactor {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the thread and waits for it to finish.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let (lock, cvar) = &*self.stop;
-        *lock.lock().expect("compactor lock") = true;
-        cvar.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }

@@ -140,7 +140,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Counters the event loop publishes; readable at any time via
+/// The event loop's published counters, readable at any time via
 /// [`Server::metrics`]. All values are cumulative since start except
 /// `active_conns`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -14,7 +14,7 @@ use sas_core::WeightedKey;
 use sas_store::client::{Client, ClientError};
 use sas_store::server::Server;
 use sas_store::window::{Level, WindowKey};
-use sas_store::{frame_path, rebuild_parent, Store, StoreConfig, StoreError};
+use sas_store::{frame_path, rebuild_parent, LifecycleStats, Store, StoreConfig, StoreError};
 use sas_summaries::{decode_summary, encode_summary, Query, StoredSample, Summary, SummaryKind};
 
 /// A unique store directory, removed on drop.
@@ -469,34 +469,31 @@ fn daemon_round_trip_over_tcp() {
 }
 
 #[test]
-fn background_compactor_rolls_up_sealed_windows() {
-    let dir = TempDir::new("compactor");
-    let store = Arc::new(Store::open(dir.path(), StoreConfig::default()).unwrap());
+fn lifecycle_tick_rolls_up_sealed_windows() {
+    let dir = TempDir::new("lifecycle-tick");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     for ts in [0u64, 60, 120] {
         store.ingest("web", ts, batch(ts, 50, ts)).unwrap();
     }
+    // Nothing is sealed yet: the tick is a no-op.
+    assert_eq!(store.lifecycle_tick().unwrap(), LifecycleStats::default());
     // Seal hour 0 by moving the watermark past it.
     store.ingest("web", 3600, batch(9000, 10, 9)).unwrap();
-    let compactor = sas_store::Compactor::start(store.clone(), std::time::Duration::from_millis(5));
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let hours = store
-            .list()
-            .iter()
-            .filter(|r| r.key.level == Level::Hour)
-            .count();
-        if hours == 1 {
-            break;
+    let total = store.query("web", SummaryKind::Sample, FULL, None).value;
+    assert_eq!(
+        store.lifecycle_tick().unwrap(),
+        LifecycleStats {
+            expired: 0,
+            rollups: 1
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "compactor never rolled up: {:?}",
-            store.list()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    compactor.stop();
-    // Ingest keeps working after the compactor is gone.
+    );
+    let levels: Vec<Level> = store.list().iter().map(|r| r.key.level).collect();
+    assert_eq!(levels, vec![Level::Minute, Level::Hour]);
+    let rolled = store.query("web", SummaryKind::Sample, FULL, None).value;
+    assert!((rolled - total).abs() / total < 1e-12);
+    // A second tick finds nothing left to seal.
+    assert_eq!(store.lifecycle_tick().unwrap(), LifecycleStats::default());
+    // Ingest keeps working after the roll-up.
     store.ingest("web", 3660, batch(500, 10, 10)).unwrap();
 }
 
@@ -634,6 +631,243 @@ fn estimates_carry_bounds_and_match_the_legacy_value_path() {
 }
 
 #[test]
+fn legacy_query_edge_cases_match_the_uncached_reference() {
+    // The legacy value path is more lenient than `estimate`: it drops axes
+    // beyond a window's dimensionality and answers reversed bounds with 0.
+    // Both answers must stay bit-identical to `Snapshot::query`, in process
+    // and over the `REQ_QUERY` dispatch, cold and warm.
+    let dir = TempDir::new("legacy-edges");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    for (i, ts) in [5u64, 65, 125].into_iter().enumerate() {
+        let rows: Vec<WeightedKey> = (0..300u64)
+            .map(|k| WeightedKey::new(i as u64 * 300 + k, 0.5 + (k % 11) as f64))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(ts);
+        let sampled = sas_sampling::order::sample(&rows, 70, &mut rng);
+        store
+            .ingest("web", ts, Box::new(StoredSample::one_dim(sampled)))
+            .unwrap();
+    }
+    let snap = store.snapshot();
+    for range in [vec![(10u64, 640u64), (0, 0)], vec![(0, u64::MAX), (5, 9)]] {
+        let (want, windows) = snap.query("web", SummaryKind::Sample, &range, None);
+        assert_eq!(windows, 3);
+        assert!(want > 0.0, "the extra axis is dropped, not applied");
+        for _ in 0..2 {
+            let local = store.query("web", SummaryKind::Sample, &range, None);
+            assert_eq!(local.value.to_bits(), want.to_bits(), "{range:?}");
+            assert_eq!(local.windows, windows);
+            let remote = sas_store::server::handle_request(
+                &store,
+                sas_store::wire::Request::Query {
+                    dataset: "web".into(),
+                    kind: SummaryKind::Sample,
+                    range: range.clone(),
+                    time: None,
+                },
+            );
+            match remote {
+                sas_store::wire::Response::Query {
+                    value, windows: w, ..
+                } => {
+                    assert_eq!(value.to_bits(), want.to_bits(), "{range:?}");
+                    assert_eq!(w, windows);
+                }
+                other => panic!("expected a query answer, got {other:?}"),
+            }
+        }
+    }
+    // Reversed bounds from an in-process caller answer an empty range.
+    let reversed = [(600u64, 10u64)];
+    let (want, windows) = snap.query("web", SummaryKind::Sample, &reversed, None);
+    assert_eq!((want.to_bits(), windows), (0.0f64.to_bits(), 3));
+    for _ in 0..2 {
+        let got = store.query("web", SummaryKind::Sample, &reversed, None);
+        assert_eq!((got.value.to_bits(), got.windows), (0.0f64.to_bits(), 3));
+    }
+    let got = store.query("web", SummaryKind::Sample, &reversed, Some((60, 119)));
+    assert_eq!((got.value.to_bits(), got.windows), (0.0f64.to_bits(), 1));
+}
+
+#[test]
+fn legacy_query_and_estimate_share_one_cache_entry() {
+    let dir = TempDir::new("shared-entry");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    store.ingest("web", 5, batch(0, 50, 1)).unwrap();
+    store.ingest("web", 65, batch(100, 50, 2)).unwrap();
+    let r = [(10u64, 120u64)];
+    let old = store.query("web", SummaryKind::Sample, &r, None);
+    assert!(!old.cached);
+    let entries = store
+        .stats()
+        .into_iter()
+        .find(|(n, _)| n == "cache_entries");
+    assert_eq!(entries, Some(("cache_entries".into(), 1)));
+    // The new tag at the legacy level reads the entry the old tag filled.
+    let new = store
+        .estimate(
+            "web",
+            SummaryKind::Sample,
+            &Query::interval(10, 120),
+            0.95,
+            None,
+        )
+        .unwrap();
+    assert!(
+        new.cached,
+        "0.95 estimate must hit the legacy query's entry"
+    );
+    assert_eq!(new.estimate.value.to_bits(), old.value.to_bits());
+    assert_eq!((new.windows, new.version), (old.windows, old.version));
+    // Another confidence is another entry.
+    let other = store
+        .estimate(
+            "web",
+            SummaryKind::Sample,
+            &Query::interval(10, 120),
+            0.9,
+            None,
+        )
+        .unwrap();
+    assert!(!other.cached);
+    assert_eq!(other.estimate.value.to_bits(), old.value.to_bits());
+    // And the reverse direction: an estimate at 0.95 warms the old tag.
+    let total = store
+        .estimate("web", SummaryKind::Sample, &Query::Total, 0.95, None)
+        .unwrap();
+    let plain = store.query("web", SummaryKind::Sample, FULL, None);
+    assert!(plain.cached);
+    assert_eq!(plain.value.to_bits(), total.estimate.value.to_bits());
+}
+
+#[test]
+fn stats_counter_rows_read_the_registry() {
+    const ROWS: [&str; 22] = [
+        "windows",
+        "minute_windows",
+        "hour_windows",
+        "day_windows",
+        "items",
+        "frame_bytes",
+        "minute_frame_bytes",
+        "hour_frame_bytes",
+        "day_frame_bytes",
+        "snapshot_version",
+        "ingested_batches",
+        "rollups",
+        "compaction_passes",
+        "retention_passes",
+        "expired_windows",
+        "queries",
+        "cache_hits",
+        "cache_misses",
+        "cache_entries",
+        "recovered_windows",
+        "orphans_removed",
+        "temp_files_swept",
+    ];
+    // Each counter row and the registry counter(s) it reads; a name
+    // ending in `{` sums every dataset label.
+    const COUNTERS: [(&str, &str); 11] = [
+        ("ingested_batches", "sas_store_ingested_batches_total"),
+        ("rollups", "sas_store_rollups_total"),
+        ("compaction_passes", "sas_store_compactions_total"),
+        ("retention_passes", "sas_store_retention_passes_total"),
+        ("expired_windows", "sas_store_expired_windows_total"),
+        ("queries", "sas_store_queries_total"),
+        ("cache_hits", "sas_store_cache_hits_total{"),
+        ("cache_misses", "sas_store_cache_misses_total{"),
+        ("recovered_windows", "sas_store_recovered_windows"),
+        ("orphans_removed", "sas_store_orphans_removed"),
+        ("temp_files_swept", "sas_store_temp_files_swept"),
+    ];
+    fn check(store: &Store) -> Vec<(String, u64)> {
+        let stats = store.stats();
+        let names: Vec<&str> = stats.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ROWS);
+        let report = store.obs().snapshot();
+        for (row, metric) in COUNTERS {
+            let registry: u64 = report
+                .counters
+                .iter()
+                .filter(|(n, _)| n == metric || (metric.ends_with('{') && n.starts_with(metric)))
+                .map(|(_, v)| v)
+                .sum();
+            let stat = stats.iter().find(|(n, _)| n == row).unwrap().1;
+            assert_eq!(stat, registry, "{row} vs {metric}");
+        }
+        stats
+    }
+    let get =
+        |stats: &[(String, u64)], name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+
+    let dir = TempDir::new("stats-registry");
+    {
+        let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+        // Hours 0 and 1 of web, plus one sealer minute in hour 2.
+        for (i, ts) in [0u64, 60, 3600, 3660, 7200].into_iter().enumerate() {
+            store
+                .ingest("web", ts, batch(i as u64 * 100, 40, i as u64))
+                .unwrap();
+        }
+        store.ingest("api", 5, batch(0, 30, 9)).unwrap();
+        // Legacy queries (one repeat, one lenient), estimates, and two
+        // dataset labels beyond "web": "api" and the invalid-name bucket.
+        for dataset in ["web", "web", "api", "bad/name"] {
+            store.query(dataset, SummaryKind::Sample, &[(0, 300)], None);
+        }
+        store.query("web", SummaryKind::Sample, &[(0, 300), (1, 2)], None);
+        store.query("web", SummaryKind::Sample, &[(300, 0)], None);
+        for confidence in [0.95, 0.95, 0.5] {
+            store
+                .estimate("api", SummaryKind::Sample, &Query::Total, confidence, None)
+                .unwrap();
+        }
+        // Minutes of hour 0 expire (end + 4000 <= 7260); hour 1 is sealed
+        // and rolls up.
+        store
+            .set_policy(
+                "web",
+                sas_store::policy::Policy {
+                    retention_ttl: Some(4000),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let tick = store.lifecycle_tick().unwrap();
+        assert_eq!(
+            tick,
+            LifecycleStats {
+                expired: 2,
+                rollups: 1
+            }
+        );
+        let stats = check(&store);
+        assert_eq!(get(&stats, "ingested_batches"), 6);
+        assert_eq!(get(&stats, "queries"), 9);
+        assert_eq!(get(&stats, "cache_hits"), 2);
+        assert_eq!(get(&stats, "expired_windows"), 2);
+        assert_eq!(get(&stats, "rollups"), 1);
+        assert_eq!(get(&stats, "retention_passes"), 1);
+        assert_eq!(get(&stats, "compaction_passes"), 1);
+    }
+    // Crash debris: one torn temp file and one orphaned frame.
+    let minutes = dir.path().join("web/sample/minute");
+    fs::write(minutes.join("7200.sas.tmp-1-0"), b"torn").unwrap();
+    fs::write(
+        minutes.join("9960.sas"),
+        encode_summary(batch(0, 5, 3).as_ref()),
+    )
+    .unwrap();
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    let stats = check(&store);
+    assert_eq!(get(&stats, "recovered_windows"), 3);
+    assert_eq!(get(&stats, "orphans_removed"), 1);
+    assert_eq!(get(&stats, "temp_files_swept"), 1);
+    assert_eq!(get(&stats, "queries"), 0);
+}
+
+#[test]
 fn estimate_cache_keys_on_canonical_queries() {
     let dir = TempDir::new("estimate-cache");
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
@@ -668,7 +902,7 @@ fn estimate_cache_keys_on_canonical_queries() {
         .estimate("web", SummaryKind::Sample, &Query::Total, 0.5, None)
         .unwrap();
     assert!(!other.cached);
-    // …and the legacy value path never collides with estimates.
+    // …and the legacy value path (confidence 0.95) agrees on the value.
     let plain = store.query("web", SummaryKind::Sample, FULL, None);
     assert_eq!(plain.value.to_bits(), first.estimate.value.to_bits());
     // Ingest bumps the version: estimates recompute.
