@@ -8,7 +8,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sas_bench::*;
 use sas_data::uniform_area_queries;
-use sas_summaries::exact::SampleSummary;
 
 fn main() {
     let scale = Scale::from_env();
@@ -30,7 +29,7 @@ fn main() {
             let (summary, t) = timed(|| {
                 let mut rng = StdRng::seed_from_u64(1000 * factor as u64 + seed);
                 let sample = sas_sampling::two_pass::sample_product(&w.data, s, factor, &mut rng);
-                SampleSummary::new("aware", &sample, &w.data)
+                stored_sample(sample, &w.data)
             });
             secs += t;
             err += avg_abs_error(&summary, &w.exact, &queries, w.total);

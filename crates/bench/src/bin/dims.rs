@@ -14,8 +14,6 @@ use sas_core::varopt::VarOptSampler;
 use sas_sampling::product::SpatialData;
 use sas_structures::order::Interval;
 use sas_structures::product::{BoxRange, Point};
-use sas_summaries::exact::SampleSummary;
-use sas_summaries::RangeSumSummary;
 
 fn main() {
     let n = 20_000usize;
@@ -49,16 +47,16 @@ fn main() {
             })
             .collect();
 
-        let aware_s = sas_sampling::product::sample(&data, s, &mut rng);
-        let aware = SampleSummary::new("aware", &aware_s, &data);
-        let obliv_s = VarOptSampler::sample_slice(s, &data.keys, &mut rng);
-        let obliv = SampleSummary::new("obliv", &obliv_s, &data);
+        // `StoredSample` holds at most two axes, so the d-dimensional
+        // samples answer through the product sampler's own estimator.
+        let aware = sas_sampling::product::sample(&data, s, &mut rng);
+        let obliv = VarOptSampler::sample_slice(s, &data.keys, &mut rng);
 
-        let rms = |sm: &SampleSummary| -> f64 {
+        let rms = |sm: &sas_core::Sample| -> f64 {
             let acc: f64 = queries
                 .iter()
                 .map(|q| {
-                    let e = sm.estimate_box(q) - data.box_weight(q);
+                    let e = sas_sampling::product::estimate_box(sm, &data, q) - data.box_weight(q);
                     e * e
                 })
                 .sum();

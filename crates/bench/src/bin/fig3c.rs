@@ -5,6 +5,9 @@
 //! rectangles per second, cost growing linearly in the sample size); the
 //! wavelet pays ~1000× more per rectangle (dyadic decomposition × retained
 //! coefficients).
+//!
+//! Each timing is one `Summary::answer_batch` call over the whole battery,
+//! so it includes every kind's error bounds, not just the values.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,7 +15,7 @@ use sas_bench::*;
 use sas_data::uniform_area_queries;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
-use sas_summaries::RangeSumSummary;
+use sas_summaries::{Query, Summary};
 
 fn main() {
     let scale = Scale::from_env();
@@ -22,6 +25,7 @@ fn main() {
     let mut qrng = StdRng::seed_from_u64(77);
     let queries = uniform_area_queries(&mut qrng, side, side, 100, 25, 0.2);
     let total_rects: usize = queries.iter().map(|q| q.range_count()).sum();
+    let batch: Vec<Query> = queries.iter().map(Query::from).collect();
 
     eprintln!("fig3c: network data, timing {total_rects} rectangle queries per summary");
 
@@ -34,15 +38,9 @@ fn main() {
         let wavelet = wavelet_full.truncated(s);
         let qdigest = QDigestSummary::build(&w.data, w.bits, s);
 
-        let run = |summary: &dyn RangeSumSummary| -> f64 {
-            let (acc, secs) = timed(|| {
-                let mut acc = 0.0;
-                for q in &queries {
-                    acc += summary.estimate_multi(q);
-                }
-                acc
-            });
-            std::hint::black_box(acc);
+        let run = |summary: &dyn Summary| -> f64 {
+            let (answers, secs) = timed(|| summary.answer_batch(&batch, 0.95));
+            std::hint::black_box(answers.expect("battery queries are valid"));
             secs
         };
         rows.push(vec![

@@ -26,16 +26,18 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use sas_core::{KeyId, Sample};
 use sas_data::{NetworkConfig, TicketConfig};
 use sas_sampling::product::SpatialData;
-use sas_structures::product::MultiRangeQuery;
-use sas_summaries::exact::{ExactEngine, SampleSummary};
-use sas_summaries::RangeSumSummary;
+use sas_structures::product::{MultiRangeQuery, Point};
+use sas_summaries::exact::ExactEngine;
+use sas_summaries::{Query, StoredSample, Summary};
 
 /// Experiment scale, selected by the `SAS_SCALE` env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +154,7 @@ pub fn ticket_workload(scale: Scale) -> Workload {
 /// Mean absolute error of a summary over a query battery, normalized by the
 /// total data weight — the y-axis of the paper's accuracy plots.
 pub fn avg_abs_error(
-    summary: &dyn RangeSumSummary,
+    summary: &dyn Summary,
     exact: &ExactEngine,
     queries: &[MultiRangeQuery],
     total: f64,
@@ -174,7 +176,7 @@ pub struct ErrorMetrics {
 
 /// Computes [`ErrorMetrics`] for a summary over a query battery.
 pub fn error_metrics(
-    summary: &dyn RangeSumSummary,
+    summary: &dyn Summary,
     exact: &ExactEngine,
     queries: &[MultiRangeQuery],
     total: f64,
@@ -183,9 +185,9 @@ pub fn error_metrics(
     let mut sq_sum = 0.0;
     let mut rel_sum = 0.0;
     let mut rel_count = 0usize;
-    for q in queries {
+    for (q, est) in queries.iter().zip(answer_values(summary, queries)) {
         let truth = exact.multi_sum(q);
-        let err = summary.estimate_multi(q) - truth;
+        let err = est - truth;
         abs_sum += err.abs();
         sq_sum += err * err;
         if truth > 0.0 {
@@ -205,19 +207,56 @@ pub fn error_metrics(
     }
 }
 
+/// The summary's estimates for a battery, in order: one
+/// [`Summary::answer_batch`] call at confidence 0.95 over the battery as
+/// [`Query::MultiRange`]s.
+///
+/// # Panics
+/// Panics if a query is malformed (overlapping or empty boxes), which the
+/// `sas-data` generators never produce.
+pub fn answer_values(summary: &dyn Summary, battery: &[MultiRangeQuery]) -> Vec<f64> {
+    let queries: Vec<Query> = battery.iter().map(Query::from).collect();
+    summary
+        .answer_batch(&queries, 0.95)
+        .expect("battery queries are disjoint, non-empty boxes")
+        .into_iter()
+        .map(|e| e.value)
+        .collect()
+}
+
+/// Wraps a sample over `data` as the 2-D [`StoredSample`] the store
+/// serves.
+pub fn stored_sample(sample: Sample, data: &SpatialData) -> StoredSample {
+    let point_by_key: HashMap<KeyId, &Point> = data
+        .keys
+        .iter()
+        .zip(&data.points)
+        .map(|(wk, p)| (wk.key, p))
+        .collect();
+    let points = sample
+        .iter()
+        .map(|e| (e.key, point_by_key[&e.key].clone()))
+        .collect();
+    StoredSample::two_dim(sample, points).expect("every sampled key has a 2-D location")
+}
+
 /// Builds the structure-aware sample ("aware"): the two-pass product
 /// sampler with the paper's guide factor of 5.
-pub fn build_aware(data: &SpatialData, s: usize, seed: u64) -> SampleSummary {
+pub fn build_aware(data: &SpatialData, s: usize, seed: u64) -> StoredSample {
     let mut rng = StdRng::seed_from_u64(seed);
-    let sample = sas_sampling::two_pass::sample_product(data, s, 5, &mut rng);
-    SampleSummary::new("aware", &sample, data)
+    stored_sample(
+        sas_sampling::two_pass::sample_product(data, s, 5, &mut rng),
+        data,
+    )
 }
 
 /// Builds the structure-oblivious VarOpt sample ("obliv").
-pub fn build_obliv(data: &SpatialData, s: usize, seed: u64) -> SampleSummary {
+pub fn build_obliv(data: &SpatialData, s: usize, seed: u64) -> StoredSample {
     let mut rng = StdRng::seed_from_u64(seed);
-    let sample = sas_core::varopt::VarOptSampler::sample_slice(s, &data.keys, &mut rng);
-    SampleSummary::new("obliv", &sample, data)
+    stored_sample(
+        sas_core::varopt::VarOptSampler::sample_slice(s, &data.keys, &mut rng),
+        data,
+    )
 }
 
 /// Times a closure, returning `(result, seconds)`.
@@ -459,8 +498,19 @@ mod tests {
         let w = network_workload(Scale::Small);
         let aware = build_aware(&w.data, 500, 1);
         let obliv = build_obliv(&w.data, 500, 1);
-        assert_eq!(aware.size_elements(), 500);
-        assert_eq!(obliv.size_elements(), 500);
+        assert_eq!(aware.item_count(), 500);
+        assert_eq!(obliv.item_count(), 500);
+    }
+
+    #[test]
+    fn aware_at_full_size_answers_exactly() {
+        // s = n keeps every key at its own weight: estimates are exact.
+        let data = SpatialData::from_xyw(&[(0, 0, 1.0), (5, 5, 2.0), (9, 9, 4.0), (5, 9, 8.0)]);
+        let aware = build_aware(&data, 4, 1);
+        let full = Query::BoxRange(vec![(0, 9), (0, 9)]);
+        assert!((aware.answer(&full, 0.95).unwrap().value - 15.0).abs() < 1e-9);
+        assert_eq!(aware.kind(), sas_summaries::SummaryKind::Sample);
+        assert_eq!(aware.item_count(), 4);
     }
 
     #[test]
@@ -490,11 +540,13 @@ mod tests {
 
     #[test]
     fn avg_error_zero_for_exact() {
+        // A sample holding every key answers each battery query exactly.
         let w = network_workload(Scale::Small);
         let mut rng = StdRng::seed_from_u64(2);
         let side = 1u64 << w.bits;
         let queries = sas_data::uniform_area_queries(&mut rng, side, side, 5, 5, 0.2);
-        let e = avg_abs_error(&w.exact, &w.exact, &queries, w.total);
-        assert_eq!(e, 0.0);
+        let full = build_obliv(&w.data, w.data.len(), 3);
+        let e = avg_abs_error(&full, &w.exact, &queries, w.total);
+        assert!(e < 1e-12, "{e}");
     }
 }

@@ -16,8 +16,6 @@ use sas_sampling::product::SpatialData;
 use sas_structures::dyadic;
 use sas_structures::product::BoxRange;
 
-use crate::RangeSumSummary;
-
 /// Number of independent rows per sketch (median-of-rows estimator).
 const ROWS: usize = 3;
 
@@ -304,27 +302,28 @@ fn cell_id(cx: u64, cy: u64) -> u64 {
     cx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ cy
 }
 
-impl RangeSumSummary for SketchSummary {
-    fn estimate_box(&self, query: &BoxRange) -> f64 {
+impl SketchSummary {
+    /// Estimated weight inside `query` (the value of
+    /// [`estimate_box_stats`](SketchSummary::estimate_box_stats)).
+    pub fn estimate_box(&self, query: &BoxRange) -> f64 {
         self.estimate_box_stats(query).0
     }
 
-    fn size_elements(&self) -> usize {
+    /// Stored counters — the kind's
+    /// [`Summary::item_count`](crate::Summary::item_count).
+    pub(crate) fn counter_count(&self) -> usize {
         self.sketches
             .iter()
             .flatten()
             .map(|s| s.counters.len())
             .sum()
     }
-
-    fn name(&self) -> &'static str {
-        "sketch"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Summary;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -397,8 +396,8 @@ mod tests {
         let data = random_data(50, 4, 4);
         let sk = SketchSummary::build(&data, 4, 4, 3000, 5);
         // 25 level pairs × ROWS rows × width.
-        assert!(sk.size_elements() <= 3000 + 25 * ROWS);
-        assert!(sk.size_elements() > 0);
+        assert!(sk.item_count() <= 3000 + 25 * ROWS);
+        assert!(sk.item_count() > 0);
     }
 
     #[test]

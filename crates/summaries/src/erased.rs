@@ -32,7 +32,6 @@ use crate::qdigest::QDigestSummary;
 use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
 use crate::stored::StoredSample;
 use crate::wavelet::WaveletSummary;
-use crate::RangeSumSummary;
 
 /// The registered summary kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -725,7 +724,7 @@ impl Summary for QDigestSummary {
     }
 
     fn item_count(&self) -> usize {
-        self.size_elements()
+        self.node_count()
     }
 
     fn total_estimate(&self) -> f64 {
@@ -790,7 +789,7 @@ impl Summary for WaveletSummary {
     }
 
     fn item_count(&self) -> usize {
-        self.size_elements()
+        self.coefficient_count()
     }
 
     fn total_estimate(&self) -> f64 {
@@ -851,7 +850,7 @@ impl Summary for SketchSummary {
     }
 
     fn item_count(&self) -> usize {
-        self.size_elements()
+        self.counter_count()
     }
 
     fn total_estimate(&self) -> f64 {

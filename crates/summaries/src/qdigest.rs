@@ -20,8 +20,6 @@ use sas_core::Mergeable;
 use sas_sampling::product::SpatialData;
 use sas_structures::product::BoxRange;
 
-use crate::RangeSumSummary;
-
 /// A dyadic grid cell: level (side `2^level`) and cell coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Cell {
@@ -236,7 +234,7 @@ impl QDigestSummary {
     /// the exact answer is at least the weight of the cells fully covered
     /// by the query and at most the weight of the cells it intersects at
     /// all. The proportional estimate of
-    /// [`estimate_box`](RangeSumSummary::estimate_box) always lies inside
+    /// [`estimate_box`](QDigestSummary::estimate_box) always lies inside
     /// the same interval.
     pub fn bound_box(&self, query: &BoxRange) -> (f64, f64) {
         if query.is_empty() {
@@ -274,8 +272,10 @@ impl Mergeable for QDigestSummary {
     }
 }
 
-impl RangeSumSummary for QDigestSummary {
-    fn estimate_box(&self, query: &BoxRange) -> f64 {
+impl QDigestSummary {
+    /// Estimated weight inside `query`: covered cells count fully,
+    /// partially covered cells in proportion to the covered volume.
+    pub fn estimate_box(&self, query: &BoxRange) -> f64 {
         if query.is_empty() {
             return 0.0;
         }
@@ -297,18 +297,17 @@ impl RangeSumSummary for QDigestSummary {
             .sum()
     }
 
-    fn size_elements(&self) -> usize {
+    /// Stored nodes — the kind's
+    /// [`Summary::item_count`](crate::Summary::item_count).
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "qdigest"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Summary;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -344,7 +343,7 @@ mod tests {
         let data = random_data(500, 8, 2);
         for s in [10, 50, 200] {
             let q = QDigestSummary::build(&data, 8, s);
-            assert!(q.size_elements() <= s, "budget {s}: {}", q.size_elements());
+            assert!(q.item_count() <= s, "budget {s}: {}", q.item_count());
         }
     }
 
@@ -402,7 +401,7 @@ mod tests {
     fn empty_data() {
         let data = SpatialData::from_xyw(&[]);
         let q = QDigestSummary::build(&data, 4, 10);
-        assert_eq!(q.size_elements(), 0);
+        assert_eq!(q.item_count(), 0);
         assert_eq!(q.estimate_box(&BoxRange::xy(0, 15, 0, 15)), 0.0);
     }
 
@@ -466,6 +465,6 @@ mod tests {
         assert!((a.stored_total() - (tot_a + tot_b)).abs() < 1e-9);
         let q = BoxRange::xy(0, 127, 0, 127);
         assert!((a.estimate_box(&q) - (est_a + est_b)).abs() < 1e-9);
-        assert!(a.size_elements() <= 160);
+        assert!(a.item_count() <= 160);
     }
 }

@@ -32,6 +32,7 @@
 use std::fmt;
 
 use sas_codec::{encode_frame, open_frame, proto, CodecError, Reader, Writer};
+use sas_structures::product::MultiRangeQuery;
 
 /// Hard cap on boxes in one multi-range query (protocol sanity bound).
 pub const MAX_QUERY_BOXES: usize = 4096;
@@ -180,6 +181,20 @@ fn boxes_overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
         let (blo, bhi) = b.get(i).copied().unwrap_or(FULL);
         alo.max(blo) <= ahi.min(bhi)
     })
+}
+
+/// The same union of boxes as a [`Query::MultiRange`] — how the experiment
+/// harness hands its `sas-data` query batteries to
+/// [`Summary::answer_batch`](crate::Summary::answer_batch).
+impl From<&MultiRangeQuery> for Query {
+    fn from(q: &MultiRangeQuery) -> Self {
+        Query::MultiRange(
+            q.boxes
+                .iter()
+                .map(|b| b.sides.iter().map(|iv| (iv.lo, iv.hi)).collect())
+                .collect(),
+        )
+    }
 }
 
 impl Query {

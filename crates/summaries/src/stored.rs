@@ -164,35 +164,6 @@ impl StoredSample {
             .collect()
     }
 
-    /// HT estimate of the weight inside an axis-aligned range
-    /// (`range[0]` on the key line for 1-D; `range[0]`, `range[1]` as a box
-    /// for 2-D). Missing axes default to the full domain. Folds from +0.0
-    /// in entry order — bit-identical to the query accumulator, including
-    /// on ranges matching nothing (`Iterator::sum` would give -0.0 there).
-    pub fn range_sum(&self, range: &[(u64, u64)]) -> f64 {
-        let axis = |i: usize| range.get(i).copied().unwrap_or((0, u64::MAX));
-        match self.dims {
-            1 => {
-                let (lo, hi) = axis(0);
-                self.keys
-                    .iter()
-                    .zip(&self.adjusted)
-                    .filter(|(&k, _)| lo <= k && k <= hi)
-                    .fold(0.0, |acc, (_, &a)| acc + a)
-            }
-            _ => {
-                let (x0, x1) = axis(0);
-                let (y0, y1) = axis(1);
-                self.xs
-                    .iter()
-                    .zip(&self.ys)
-                    .zip(&self.adjusted)
-                    .filter(|((&x, &y), _)| x0 <= x && x <= x1 && y0 <= y && y <= y1)
-                    .fold(0.0, |acc, (_, &a)| acc + a)
-            }
-        }
-    }
-
     /// Merges a sample of disjoint data.
     ///
     /// With `budget: None` the entries are concatenated (each keeps the
@@ -424,6 +395,7 @@ impl StoredSample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -18,8 +18,6 @@ use std::collections::HashMap;
 use sas_sampling::product::SpatialData;
 use sas_structures::product::BoxRange;
 
-use crate::RangeSumSummary;
-
 /// A 1-D Haar basis function over a `2^bits` domain: either the scaling
 /// (constant) function or the wavelet at `level ∈ [1, bits]`, block `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -384,7 +382,7 @@ impl WaveletSummary {
 
 impl WaveletSummary {
     /// Deterministic bound on the truncation error of
-    /// [`estimate_box`](RangeSumSummary::estimate_box): the exact answer
+    /// [`estimate_box`](WaveletSummary::estimate_box): the exact answer
     /// lies within `estimate ± bound_box(query)`.
     ///
     /// Derivation: the exact answer is the inner product over *all*
@@ -471,8 +469,10 @@ fn basis_functions_at(x: u64, bits: u32) -> Vec<(Basis1D, f64)> {
     out
 }
 
-impl RangeSumSummary for WaveletSummary {
-    fn estimate_box(&self, query: &BoxRange) -> f64 {
+impl WaveletSummary {
+    /// Estimated weight inside `query`: the inner product of the retained
+    /// coefficients with the box's range sums.
+    pub fn estimate_box(&self, query: &BoxRange) -> f64 {
         if query.is_empty() {
             return 0.0;
         }
@@ -498,18 +498,17 @@ impl RangeSumSummary for WaveletSummary {
             .sum()
     }
 
-    fn size_elements(&self) -> usize {
+    /// Retained coefficients — the kind's
+    /// [`Summary::item_count`](crate::Summary::item_count).
+    pub(crate) fn coefficient_count(&self) -> usize {
         self.coeffs.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "wavelet"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Summary;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -608,8 +607,8 @@ mod tests {
     fn thresholding_keeps_s_and_degrades_gracefully() {
         let data = random_data(200, 5, 4);
         let w_full = WaveletSummary::build(&data, 5, 5, usize::MAX);
-        let w_half = WaveletSummary::build(&data, 5, 5, w_full.size_elements() / 2);
-        assert!(w_half.size_elements() <= w_full.size_elements() / 2 + 1);
+        let w_half = WaveletSummary::build(&data, 5, 5, w_full.item_count() / 2);
+        assert!(w_half.item_count() <= w_full.item_count() / 2 + 1);
         let exact = crate::exact::ExactEngine::new(&data);
         let q = BoxRange::xy(0, 31, 0, 15);
         let e_full = (w_full.estimate_box(&q) - exact.box_sum(&q)).abs();
@@ -617,6 +616,65 @@ mod tests {
         assert!(e_full < 1e-6);
         // Half-size estimate is approximate but bounded.
         assert!(e_half < exact.total());
+    }
+
+    /// `n` random weighted positions on a one-row (`bits_y = 0`) domain.
+    fn random_row(n: usize, bits: u32, seed: u64) -> SpatialData {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let side = 1u64 << bits;
+        let rows: Vec<(u64, u64, f64)> = (0..n)
+            .map(|_| (rng.gen_range(0..side), 0, rng.gen_range(0.1..5.0)))
+            .collect();
+        SpatialData::from_xyw(&rows)
+    }
+
+    #[test]
+    fn one_row_full_transform_exact() {
+        let data = random_row(50, 6, 1);
+        let w = WaveletSummary::build(&data, 6, 0, usize::MAX);
+        let exact = crate::exact::ExactEngine::new(&data);
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..100 {
+            let a = rng.gen_range(0..64);
+            let b = rng.gen_range(a..64);
+            let q = BoxRange::xy(a, b, 0, 0);
+            let est = w.estimate_box(&q);
+            let truth = exact.box_sum(&q);
+            assert!((est - truth).abs() < 1e-6 * (1.0 + truth), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn one_row_truncation_respects_budget() {
+        let data = random_row(500, 10, 3);
+        let w = WaveletSummary::build(&data, 10, 0, 40);
+        assert!(w.item_count() <= 40);
+        // Coarse query remains decent under truncation.
+        let q = BoxRange::xy(0, 1023, 0, 0);
+        let truth = crate::exact::ExactEngine::new(&data).box_sum(&q);
+        assert!((w.estimate_box(&q) - truth).abs() < 0.05 * truth);
+    }
+
+    #[test]
+    fn one_row_wavelet_is_accurate_on_smooth_data() {
+        // The paper's point: in 1-D with smooth-ish mass, wavelets are
+        // strong. Smooth data = near-uniform weights over the domain.
+        let bits = 10;
+        let rows: Vec<(u64, u64, f64)> = (0..1024u64)
+            .map(|k| (k, 0, 1.0 + 0.1 * ((k as f64) / 100.0).sin()))
+            .collect();
+        let data = SpatialData::from_xyw(&rows);
+        let w = WaveletSummary::build(&data, bits, 0, 64);
+        let exact = crate::exact::ExactEngine::new(&data);
+        let mut rng = StdRng::seed_from_u64(4);
+        let total = exact.total();
+        for _ in 0..40 {
+            let a = rng.gen_range(0..1024);
+            let b = rng.gen_range(a..1024);
+            let q = BoxRange::xy(a, b, 0, 0);
+            let err = (w.estimate_box(&q) - exact.box_sum(&q)).abs();
+            assert!(err < 0.01 * total, "err {err} on {q:?}");
+        }
     }
 
     #[test]

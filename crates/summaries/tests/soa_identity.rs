@@ -18,8 +18,8 @@ use sas_summaries::countsketch::SketchSummary;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
 use sas_summaries::{
-    decode_summary, encode_summary, merge_tree, merge_tree_with, MergeArena, Query,
-    RangeSumSummary, StoredSample, Summary,
+    decode_summary, encode_summary, merge_tree, merge_tree_with, MergeArena, Query, StoredSample,
+    Summary,
 };
 
 fn keys_strategy() -> impl Strategy<Value = Vec<WeightedKey>> {

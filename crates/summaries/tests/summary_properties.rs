@@ -7,7 +7,7 @@ use sas_structures::product::BoxRange;
 use sas_summaries::exact::ExactEngine;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
-use sas_summaries::RangeSumSummary;
+use sas_summaries::Summary;
 
 const BITS: u32 = 5; // 32x32 domain keeps exhaustive checks cheap
 
@@ -35,7 +35,7 @@ proptest! {
         let q = QDigestSummary::build(&data, BITS, budget);
         let total = data.total_weight();
         prop_assert!((q.stored_total() - total).abs() < 1e-6 * (1.0 + total));
-        prop_assert!(q.size_elements() <= budget);
+        prop_assert!(q.item_count() <= budget);
         // Full-domain query returns the total.
         let full = BoxRange::xy(0, 31, 0, 31);
         prop_assert!((q.estimate_box(&full) - total).abs() < 1e-6 * (1.0 + total));
@@ -55,8 +55,8 @@ proptest! {
     fn wavelet_truncation_monotone_storage(data in data_strategy(), s in 1usize..50) {
         let full = WaveletSummary::build(&data, BITS, BITS, usize::MAX);
         let t = full.truncated(s);
-        prop_assert!(t.size_elements() <= s);
-        prop_assert!(t.size_elements() <= full.size_elements());
+        prop_assert!(t.item_count() <= s);
+        prop_assert!(t.item_count() <= full.item_count());
     }
 }
 

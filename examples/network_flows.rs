@@ -15,8 +15,8 @@ use rand::SeedableRng;
 use structure_aware_sampling::data::NetworkConfig;
 use structure_aware_sampling::sampling::two_pass;
 use structure_aware_sampling::structures::product::BoxRange;
-use structure_aware_sampling::summaries::exact::{ExactEngine, SampleSummary};
-use structure_aware_sampling::summaries::RangeSumSummary;
+use structure_aware_sampling::summaries::exact::ExactEngine;
+use structure_aware_sampling::summaries::{Query, StoredSample, Summary};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2026);
@@ -37,7 +37,14 @@ fn main() {
     // build without holding the flow table.
     let s = 2_000;
     let sample = two_pass::sample_product(&data, s, 5, &mut rng);
-    let summary = SampleSummary::new("aware", &sample, &data);
+    // The summary as a store would serve it: sampled keys, adjusted
+    // weights and (src, dst) locations.
+    let points = sample
+        .iter()
+        .map(|e| (e.key, data.points[e.key as usize].clone()))
+        .collect();
+    let summary =
+        StoredSample::two_dim(sample.clone(), points).expect("every sampled key has a location");
     println!("built {s}-key structure-aware summary (two-pass, guide factor 5)\n");
 
     // Ad-hoc analysis: traffic between address ranges ("subnets").
@@ -64,7 +71,11 @@ fn main() {
     );
     for (name, q) in &queries {
         let truth = exact.box_sum(q);
-        let est = summary.estimate_box(q);
+        let axes = q.sides.iter().map(|iv| (iv.lo, iv.hi)).collect();
+        let est = summary
+            .answer(&Query::BoxRange(axes), 0.95)
+            .expect("valid box")
+            .value;
         let rel = if truth > 0.0 {
             (est - truth).abs() / truth
         } else {

@@ -13,11 +13,22 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use structure_aware_sampling::core::varopt::VarOptSampler;
+use structure_aware_sampling::core::Sample;
 use structure_aware_sampling::data::TicketConfig;
+use structure_aware_sampling::sampling::product::SpatialData;
 use structure_aware_sampling::sampling::two_pass;
 use structure_aware_sampling::structures::product::BoxRange;
-use structure_aware_sampling::summaries::exact::{ExactEngine, SampleSummary};
-use structure_aware_sampling::summaries::RangeSumSummary;
+use structure_aware_sampling::summaries::exact::ExactEngine;
+use structure_aware_sampling::summaries::{Query, StoredSample, Summary};
+
+/// Wraps a sample as the 2-D summary a store would serve.
+fn stored(sample: Sample, data: &SpatialData) -> StoredSample {
+    let points = sample
+        .iter()
+        .map(|e| (e.key, data.points[e.key as usize].clone()))
+        .collect();
+    StoredSample::two_dim(sample, points).expect("every sampled key has a location")
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -34,16 +45,8 @@ fn main() {
     );
 
     let s = 3_000;
-    let aware = SampleSummary::new(
-        "aware",
-        &two_pass::sample_product(&data, s, 5, &mut rng),
-        &data,
-    );
-    let obliv = SampleSummary::new(
-        "obliv",
-        &VarOptSampler::sample_slice(s, &data.keys, &mut rng),
-        &data,
-    );
+    let aware = stored(two_pass::sample_product(&data, s, 5, &mut rng), &data);
+    let obliv = stored(VarOptSampler::sample_slice(s, &data.keys, &mut rng), &data);
 
     // Hierarchy-aligned queries: top-level trouble subtree c crossed with
     // top-level location subtree l.
@@ -65,8 +68,9 @@ fn main() {
                 (l + 1) * l_sub - 1,
             );
             let truth = exact.box_sum(&q);
-            let ea = aware.estimate_box(&q);
-            let eo = obliv.estimate_box(&q);
+            let query = Query::BoxRange(q.sides.iter().map(|iv| (iv.lo, iv.hi)).collect());
+            let ea = aware.answer(&query, 0.95).expect("valid box").value;
+            let eo = obliv.answer(&query, 0.95).expect("valid box").value;
             aware_err += (ea - truth).abs();
             obliv_err += (eo - truth).abs();
             if truth > 0.0 && shown < 8 {
