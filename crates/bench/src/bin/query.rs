@@ -2,20 +2,25 @@
 //! kinds (including a 2-D stored sample — the SoA hot path), and estimate
 //! throughput against a live store at 1/4/8 reader threads.
 //!
-//! Two tables:
+//! Three tables:
 //!
 //! 1. **summary-level** — per kind, `M` mixed queries answered one
 //!    `answer()` call at a time (loop) vs. one `answer_batch()` call
 //!    (batch: a single pass over the sample items for the sample-based
 //!    kinds), repeated `SAS_QUERY_REPS` times for stable rates.
-//! 2. **store-level** — `Store::estimate` ops/s at 1/4/8 threads, cold
+//! 2. **kernels** — the two costs of a sample answer on their own:
+//!    inverting the Eqn. 4 bound (`weight_confidence_interval`) over a
+//!    fixed grid of 25,200 `(a_j, τ, δ)` inputs, and `answer_batch` of
+//!    25-box multi-range queries on the 2-D stored sample.
+//! 3. **store-level** — `Store::estimate` ops/s at 1/4/8 threads, cold
 //!    (distinct canonical queries, every call walks the windows) and hot
 //!    (one repeated query, served by the LRU cache).
 //!
 //! Environment knobs: `SAS_QUERY_ITEMS` (rows per dataset, default 20000),
 //! `SAS_QUERY_BATCH` (queries per batch, default 64), `SAS_QUERY_OPS`
 //! (store queries per thread count, default 4000), `SAS_QUERY_REPS`
-//! (summary-level repetitions, default 50).
+//! (summary-level repetitions, default 50; the bound grid runs
+//! `SAS_QUERY_REPS / 10` times, at least once).
 //!
 //! `--json PATH` writes the machine-readable result consumed by
 //! `scripts/bench_core.sh`; any phase failure (including a batch answer
@@ -78,6 +83,53 @@ fn battery(count: usize, dims: usize, span: u64, salt: u64) -> Vec<Query> {
             }
         })
         .collect()
+}
+
+/// `count` queries of 25 disjoint boxes each over a `2^bits` square: a
+/// 5 × 5 grid of cells, one box of random extent inside each cell.
+fn multi_box_battery(count: usize, span: u64, salt: u64) -> Vec<Query> {
+    let cell = span / 5;
+    (0..count as u64)
+        .map(|i| {
+            let mut boxes = Vec::with_capacity(25);
+            for cx in 0..5 {
+                for cy in 0..5 {
+                    let r = mix(i ^ salt ^ (cx * 5 + cy) << 32);
+                    let (x0, y0) = (cx * cell + r % cell, cy * cell + (r >> 16) % cell);
+                    let x1 = x0 + (r >> 32) % (cx * cell + cell - x0);
+                    let y1 = y0 + (r >> 48) % (cy * cell + cell - y0);
+                    boxes.push(vec![(x0, x1), (y0, y1)]);
+                }
+            }
+            Query::MultiRange(boxes)
+        })
+        .collect()
+}
+
+/// The bound grid: every `(a_j, τ, δ)` with τ and δ from the lists below
+/// and `a_j = k·τ` summed by repeated addition for `k` in `0..600`, as a
+/// sample accumulator builds it. Returns the interval count and a checksum
+/// of the endpoints.
+fn bound_grid() -> (usize, f64) {
+    let taus = [1e-6, 0.37, 1.0, 3.3, 17.0, 1234.5, 9.9e7];
+    let deltas = [0.05, 0.01, 0.05 / 36.0, 1e-6, 0.5, 0.999];
+    let (mut count, mut checksum) = (0, 0.0);
+    for tau in taus {
+        for delta in deltas {
+            let mut a_j = 0.0;
+            for _ in 0..600 {
+                let (lo, hi) = sas_core::bounds::weight_confidence_interval(
+                    std::hint::black_box(a_j),
+                    tau,
+                    delta,
+                );
+                checksum += lo / tau + hi / tau;
+                count += 1;
+                a_j += tau;
+            }
+        }
+    }
+    (count, checksum)
 }
 
 fn main() -> std::process::ExitCode {
@@ -209,6 +261,64 @@ fn run() -> Result<(), String> {
         &table,
     );
 
+    // Kernels: the bound inversion alone, and 25-box queries on the 2-D
+    // sample (the flat multi-box test), checked against the loop path.
+    let grid_reps = (reps / 10).max(1);
+    let ((intervals, checksum), grid_secs) = timed(|| {
+        let mut last = (0, 0.0);
+        for _ in 0..grid_reps {
+            last = bound_grid();
+        }
+        last
+    });
+    if !checksum.is_finite() {
+        return Err(format!("bound grid checksum {checksum} is not finite"));
+    }
+    let bound_intervals_per_s = (intervals * grid_reps) as f64 / grid_secs;
+    let sample2d = &summaries[1].1;
+    let multi = multi_box_battery(batch, 256, 7);
+    let mut multi_err = None;
+    let (multi_answers, multi_secs) = timed(|| {
+        let mut last = Vec::new();
+        for _ in 0..reps {
+            match sample2d.answer_batch(&multi, confidence) {
+                Ok(a) => last = a,
+                Err(e) => multi_err = Some(format!("multi-box batch answer: {e}")),
+            }
+        }
+        last
+    });
+    if let Some(e) = multi_err {
+        return Err(e);
+    }
+    for (q, b) in multi.iter().zip(&multi_answers) {
+        let a = sample2d
+            .answer(q, confidence)
+            .map_err(|e| format!("multi-box answer: {e}"))?;
+        if (a.value.to_bits(), a.lower.to_bits(), a.upper.to_bits())
+            != (b.value.to_bits(), b.lower.to_bits(), b.upper.to_bits())
+        {
+            return Err(format!(
+                "multi-box batch answer drifted from loop answer on {q}"
+            ));
+        }
+    }
+    let answer_batch_multi_2d_qps = (multi.len() * reps) as f64 / multi_secs;
+    print_table(
+        "kernels",
+        &["kernel", "rate"],
+        &[
+            vec![
+                format!("bound intervals/s ({intervals} x {grid_reps})"),
+                format!("{bound_intervals_per_s:.0}"),
+            ],
+            vec![
+                format!("25-box answer_batch queries/s ({batch} x {reps})"),
+                format!("{answer_batch_multi_2d_qps:.0}"),
+            ],
+        ],
+    );
+
     // Store-level: ingest one window per kind, then hammer estimates.
     let dir = std::env::temp_dir().join(format!("sas-query-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -311,6 +421,8 @@ fn run() -> Result<(), String> {
             kinds.obj(label, &kind);
         }
         obj.obj("kinds", &kinds)
+            .num("bound_intervals_per_s", bound_intervals_per_s)
+            .num("answer_batch_multi_2d_qps", answer_batch_multi_2d_qps)
             .num("store_hot_8t_ops_per_s", store_hot_8t);
         obj.write(&path)?;
         eprintln!("wrote {}", path.display());

@@ -78,42 +78,124 @@ pub fn epsilon_approximation_size(vc_dim: f64, eps: f64, delta: f64) -> f64 {
 /// Given an HT estimate `a_j` of a light-key subset (all member weights
 /// below `tau`), returns `(lo, hi)` such that the true weight lies inside
 /// with probability at least `1 − delta`.
+///
+/// Each endpoint is a bisection of at most 100 steps on the monotone tail
+/// bound, and the result is bit-identical to running all 100 of both. Three
+/// things make it cheap without changing a bit:
+///
+/// * the upper and lower searches run interleaved in one loop, so their
+///   two independent `ln`/`exp` chains overlap;
+/// * a search stops at its fixed point — the first step that leaves
+///   `(lo, hi)` unchanged bit for bit. A step is a pure function of
+///   `(lo, hi)`, so every later step would leave them unchanged too; most
+///   searches stop after 53–60 steps;
+/// * a step decides `weight_tail(mid, h, τ) > δ/2` from the exponent alone
+///   when it is more than `1e-9` away from `ln(δ/2)`, and calls `exp` only
+///   inside that margin (see `TailTest`).
 pub fn weight_confidence_interval(a_j: f64, tau: f64, delta: f64) -> (f64, f64) {
     assert!(a_j >= 0.0 && tau > 0.0 && delta > 0.0 && delta < 1.0);
     // Find the smallest w_hi with Pr[a(J) <= a_j | w = w_hi] <= delta/2 and
     // the largest w_lo with Pr[a(J) >= a_j | w = w_lo] <= delta/2, by
     // bisection on the monotone tail bound.
-    let target = delta / 2.0;
+    let test = TailTest::new(tau, delta / 2.0);
     // Upper endpoint: raising w makes observing a_j-or-less less likely.
-    let mut lo = a_j;
+    let h_up = a_j.max(tau * 1e-9);
     let mut hi = (a_j + tau).max(tau) * 4.0 + 10.0 * tau;
-    while weight_tail(hi, a_j.max(tau * 1e-9), tau) > target {
+    while test.exceeds(hi, h_up) {
         hi *= 2.0;
         if hi > 1e300 {
             break;
         }
     }
-    for _ in 0..100 {
-        let mid = 0.5 * (lo + hi);
-        if weight_tail(mid, a_j.max(tau * 1e-9), tau) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let upper = hi;
+    let mut up = (a_j, hi);
     // Lower endpoint: lowering w makes observing a_j-or-more less likely.
-    let (mut lo2, mut hi2) = (0.0, a_j);
+    let mut down = (0.0, a_j);
+    let (mut up_live, mut down_live) = (true, true);
     for _ in 0..100 {
-        let mid = 0.5 * (lo2 + hi2);
-        if weight_tail(mid, a_j, tau) > target {
-            hi2 = mid;
-        } else {
-            lo2 = mid;
+        if up_live {
+            let mid = 0.5 * (up.0 + up.1);
+            let next = if test.exceeds(mid, h_up) {
+                (mid, up.1)
+            } else {
+                (up.0, mid)
+            };
+            up_live = !same_bits(next, up);
+            up = next;
+        }
+        if down_live {
+            let mid = 0.5 * (down.0 + down.1);
+            let next = if test.exceeds(mid, a_j) {
+                (down.0, mid)
+            } else {
+                (mid, down.1)
+            };
+            down_live = !same_bits(next, down);
+            down = next;
+        }
+        if !(up_live || down_live) {
+            break;
         }
     }
-    let lower = if a_j == 0.0 { 0.0 } else { lo2 };
-    (lower, upper)
+    let lower = if a_j == 0.0 { 0.0 } else { down.0 };
+    (lower, up.1)
+}
+
+fn same_bits(a: (f64, f64), b: (f64, f64)) -> bool {
+    a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits()
+}
+
+/// `weight_tail(w, h, tau) > target`, decided exactly but mostly without
+/// `exp`.
+///
+/// The exponent `x` is computed with `weight_tail`'s own expression. When
+/// `x > ln(target) + 1e-9` the tail is above `target`; when
+/// `x < ln(target) − 1e-9` it is below; only inside that margin is `exp`
+/// evaluated. This decides exactly as `weight_tail` would: libm's `exp`
+/// and `ln` err by under one ulp, far below a `1e-9` relative margin, and
+/// `target < 1`, so the `.min(1.0)` clamp never decides the comparison.
+/// Near the subnormal range `exp` loses its relative precision, so for a
+/// `target` below `1e-290` the margin is switched off and every decision
+/// goes through `exp`.
+struct TailTest {
+    tau: f64,
+    target: f64,
+    /// Exponents above this are certainly above `target`.
+    x_above: f64,
+    /// Exponents below this are certainly below `target`.
+    x_below: f64,
+}
+
+impl TailTest {
+    fn new(tau: f64, target: f64) -> Self {
+        let (x_above, x_below) = if target > 1e-290 {
+            let ln_target = target.ln();
+            (ln_target + 1e-9, ln_target - 1e-9)
+        } else {
+            (f64::INFINITY, f64::NEG_INFINITY)
+        };
+        TailTest {
+            tau,
+            target,
+            x_above,
+            x_below,
+        }
+    }
+
+    #[inline(always)]
+    fn exceeds(&self, w: f64, h: f64) -> bool {
+        if h == 0.0 || w == 0.0 {
+            return 1.0 > self.target;
+        }
+        let tau = self.tau;
+        let x = ((h - w) / tau) + (h / tau) * (w / h).ln();
+        if x > self.x_above {
+            true
+        } else if x < self.x_below {
+            false
+        } else {
+            x.exp().min(1.0) > self.target
+        }
+    }
 }
 
 /// Expected discrepancy scale `O(√p(R))` for a structure-oblivious sample on
@@ -255,6 +337,64 @@ mod tests {
         let (lo, hi) = weight_confidence_interval(0.0, 2.0, 0.05);
         assert_eq!(lo, 0.0);
         assert!(hi > 0.0 && hi < 100.0, "hi = {hi}");
+    }
+
+    /// The 100 + 100-step bisection `weight_confidence_interval` shipped
+    /// with before its fixed-point stop — the bit-level reference.
+    fn reference_interval(a_j: f64, tau: f64, delta: f64) -> (f64, f64) {
+        assert!(a_j >= 0.0 && tau > 0.0 && delta > 0.0 && delta < 1.0);
+        let target = delta / 2.0;
+        let mut lo = a_j;
+        let mut hi = (a_j + tau).max(tau) * 4.0 + 10.0 * tau;
+        while weight_tail(hi, a_j.max(tau * 1e-9), tau) > target {
+            hi *= 2.0;
+            if hi > 1e300 {
+                break;
+            }
+        }
+        for _ in 0..100 {
+            let mid = 0.5 * (lo + hi);
+            if weight_tail(mid, a_j.max(tau * 1e-9), tau) > target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let upper = hi;
+        let (mut lo2, mut hi2) = (0.0, a_j);
+        for _ in 0..100 {
+            let mid = 0.5 * (lo2 + hi2);
+            if weight_tail(mid, a_j, tau) > target {
+                hi2 = mid;
+            } else {
+                lo2 = mid;
+            }
+        }
+        let lower = if a_j == 0.0 { 0.0 } else { lo2 };
+        (lower, upper)
+    }
+
+    #[test]
+    fn confidence_interval_matches_reference_bits() {
+        // a_j = k·τ by repeated addition, as the sample accumulator builds
+        // it, over thresholds and failure probabilities from tiny to huge.
+        let taus = [1e-6, 0.37, 1.0, 3.3, 17.0, 1234.5, 9.9e7];
+        let deltas = [0.05, 0.01, 0.05 / 36.0, 1e-6, 0.5, 0.999];
+        for tau in taus {
+            for delta in deltas {
+                let mut a_j = 0.0;
+                for k in 0..600 {
+                    let (lo, hi) = weight_confidence_interval(a_j, tau, delta);
+                    let (rlo, rhi) = reference_interval(a_j, tau, delta);
+                    assert_eq!(
+                        (lo.to_bits(), hi.to_bits()),
+                        (rlo.to_bits(), rhi.to_bits()),
+                        "tau={tau} delta={delta} k={k} a_j={a_j}: ({lo}, {hi}) vs ({rlo}, {rhi})"
+                    );
+                    a_j += tau;
+                }
+            }
+        }
     }
 
     #[test]

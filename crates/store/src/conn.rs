@@ -23,8 +23,9 @@
 //! * **Flow control**: [`Conn::wants_read`] goes false while the unwritten
 //!   outbox exceeds the write budget (a peer that never drains cannot make
 //!   the server buffer grow without bound) or while `max_pipeline`
-//!   requests are in flight (a pipelining client cannot flood the worker
-//!   pool).
+//!   requests are in flight or parked awaiting an earlier response (a
+//!   pipelining client cannot flood the worker pool, nor the outbox
+//!   behind one slow request).
 //! * **Teardown**: [`Conn::close_after_flush`] finishes everything queued
 //!   then closes (per-connection: BUSY rejections, shutdown responses);
 //!   [`Conn::abort_at_boundary`] drops messages not yet started but always
@@ -214,9 +215,7 @@ impl Conn {
         let mut complete = Vec::new();
         let mut consumed = 0;
         loop {
-            if self.in_flight >= self.config.max_pipeline
-                || self.queued_bytes > self.config.write_budget
-            {
+            if self.pipeline_full() || self.queued_bytes > self.config.write_budget {
                 break;
             }
             let rest = &self.read_buf[consumed..];
@@ -391,7 +390,16 @@ impl Conn {
     pub fn wants_read(&self) -> bool {
         self.phase == Phase::Open
             && self.queued_bytes <= self.config.write_budget
-            && self.in_flight < self.config.max_pipeline
+            && !self.pipeline_full()
+    }
+
+    /// Whether `max_pipeline` requests are parsed but not yet released to
+    /// the outbox. A response parked behind a slower earlier one keeps its
+    /// slot: otherwise one stalled request would let the rest of the burst
+    /// through the cap, and their parked responses, which the write budget
+    /// does not see, would flood the outbox the moment the gap fills.
+    fn pipeline_full(&self) -> bool {
+        self.in_flight + self.parked.len() >= self.config.max_pipeline
     }
 
     /// Whether the loop should watch for writability.
@@ -684,6 +692,28 @@ mod tests {
         c.push_response(0, msg(b"ra"));
         assert_eq!(c.in_flight(), 1);
         assert!(c.wants_read(), "a completion frees a slot");
+    }
+
+    #[test]
+    fn parked_responses_hold_their_pipeline_slots() {
+        let mut c = Conn::new(ConnConfig {
+            max_pipeline: 2,
+            ..ConnConfig::default()
+        });
+        let ready = c
+            .on_bytes(&[msg(b"a"), msg(b"b"), msg(b"c")].concat())
+            .unwrap();
+        assert_eq!(ready.len(), 2);
+        // Seq 1 completes first and parks behind seq 0: the slot stays
+        // taken until its response reaches the outbox.
+        c.push_response(1, msg(b"rb"));
+        assert!(!c.wants_read(), "a parked response holds its slot");
+        assert!(c.take_ready().unwrap().is_empty());
+        c.push_response(0, msg(b"ra"));
+        assert!(c.wants_read(), "the gap filled: both slots free");
+        let ready = c.take_ready().unwrap();
+        assert_eq!(ready.len(), 1);
+        assert_eq!(ready[0].seq, 2);
     }
 
     #[test]

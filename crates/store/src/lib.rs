@@ -231,9 +231,23 @@ impl Snapshot {
             return Ok((Estimate::exact(0.0), 0));
         }
         let per_window = 1.0 - (1.0 - confidence) / windows.len() as f64;
+        // A window refusing the per-window confidence is refusing the
+        // split, so the error names what the caller sent: an invalid
+        // confidence, or a valid one whose δ/k rounds the per-window level
+        // to 1. Windows that answer exactly never look at the confidence.
+        let refused = |e| match e {
+            QueryError::BadConfidence(_) if confidence > 0.0 && confidence < 1.0 => {
+                QueryError::ConfidenceSplit {
+                    confidence,
+                    windows: windows.len(),
+                }
+            }
+            QueryError::BadConfidence(_) => QueryError::BadConfidence(confidence),
+            e => e,
+        };
         let mut acc = Estimate::exact(0.0);
         for w in &windows {
-            acc.merge_disjoint(&w.summary.answer(query, per_window)?);
+            acc.merge_disjoint(&w.summary.answer(query, per_window).map_err(refused)?);
         }
         if acc.confidence < 1.0 {
             // At least one window answered probabilistically; the union

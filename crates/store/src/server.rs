@@ -99,7 +99,8 @@ pub struct ServerConfig {
     pub idle_timeout: Option<Duration>,
     /// Per-connection cap on unwritten response bytes before reads pause.
     pub write_budget: usize,
-    /// Per-connection cap on in-flight pipelined requests.
+    /// Per-connection cap on pipelined requests whose responses have not
+    /// reached the outbox (in flight, or parked behind an earlier one).
     pub max_pipeline: usize,
     /// Per-dataset cap on in-flight requests across all connections
     /// (`0`: unlimited). Excess requests are answered `BUSY`.

@@ -914,6 +914,60 @@ fn estimate_cache_keys_on_canonical_queries() {
 }
 
 #[test]
+fn estimate_names_the_requested_confidence_when_the_split_rounds_to_one() {
+    let dir = TempDir::new("confidence-split");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    // 36 minute windows of budgeted samples (light keys, so answers need
+    // the probabilistic bound), and 36 of exact batches.
+    for i in 0..36u64 {
+        let rows: Vec<WeightedKey> = (0..50u64)
+            .map(|k| WeightedKey::new(i * 50 + k, 0.5 + (k % 9) as f64))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(i);
+        let sampled = sas_sampling::order::sample(&rows, 10, &mut rng);
+        store
+            .ingest("web", i * 60 + 5, Box::new(StoredSample::one_dim(sampled)))
+            .unwrap();
+        store
+            .ingest("exact", i * 60 + 5, batch(i * 50, 50, i))
+            .unwrap();
+    }
+    // 1 − 1e-15 is a valid confidence, but δ/36 is below f64 resolution
+    // at 1, so every window would be asked for confidence 1.
+    let confidence = 1.0 - 1e-15;
+    assert_eq!(1.0 - (1.0 - confidence) / 36.0, 1.0);
+    let err = store
+        .estimate("web", SummaryKind::Sample, &Query::Total, confidence, None)
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(matches!(err, StoreError::BadRequest(_)), "{msg}");
+    assert!(
+        msg.contains(&format!("confidence {confidence} split across 36 windows")),
+        "{msg}"
+    );
+    assert!(!msg.contains("confidence 1 outside"), "{msg}");
+    // Windows that answer exactly never need the bound and still succeed:
+    // a range no key of the sampled series falls in, and exact batches.
+    for (dataset, query) in [
+        ("web", Query::interval(1_000_000, 2_000_000)),
+        ("exact", Query::Total),
+    ] {
+        let ans = store
+            .estimate(dataset, SummaryKind::Sample, &query, confidence, None)
+            .unwrap();
+        assert_eq!(ans.windows, 36, "{dataset}");
+        assert_eq!(ans.estimate.lower, ans.estimate.upper, "{dataset}");
+        assert_eq!(ans.estimate.confidence, 1.0, "{dataset}");
+    }
+    // An invalid confidence is reported as sent, not as its split.
+    let err = store
+        .estimate("web", SummaryKind::Sample, &Query::Total, 1.5, None)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("confidence 1.5 outside (0, 1)"), "{err}");
+}
+
+#[test]
 fn mixed_kinds_coexist_and_mismatches_fail_cleanly() {
     let dir = TempDir::new("kinds");
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();

@@ -126,6 +126,15 @@ pub enum QueryError {
     BadQuery(String),
     /// The requested confidence is outside what the kind can certify.
     BadConfidence(f64),
+    /// A valid confidence split across `windows` disjoint windows (the
+    /// union bound's `δ/k`) rounds to a per-window confidence of 1, which
+    /// no probabilistic bound can certify.
+    ConfidenceSplit {
+        /// The confidence the caller asked for.
+        confidence: f64,
+        /// The number of windows it was split across.
+        windows: usize,
+    },
     /// Wire decoding failed.
     Codec(CodecError),
 }
@@ -137,6 +146,14 @@ impl fmt::Display for QueryError {
             QueryError::BadConfidence(c) => {
                 write!(f, "confidence {c} outside (0, 1)")
             }
+            QueryError::ConfidenceSplit {
+                confidence,
+                windows,
+            } => write!(
+                f,
+                "confidence {confidence} split across {windows} windows leaves each window a \
+                 failure probability below f64 resolution; ask for a lower confidence or fewer windows"
+            ),
             QueryError::Codec(e) => write!(f, "{e}"),
         }
     }
@@ -671,6 +688,149 @@ impl SampleAccumulator {
             upper: (self.heavy + hi).max(self.value),
             confidence,
         })
+    }
+}
+
+/// One batch of queries compiled for a single pass over a sample's items —
+/// the shared kernel of `StoredSample::answer_batch` and its segment twin
+/// (`SegmentSummary` over column bytes), which feed it the same item
+/// sequence from different storage.
+///
+/// Single-box queries (every shape except a multi-box `MultiRange`) have
+/// their bounds flattened into parallel per-axis arrays, so the hot loop
+/// tests an item against plain bound arrays. Multi-box queries keep every
+/// box in one contiguous array of `[x0, x1, y0, y1]` (1-D queries use the
+/// `x` pair only) with per-query end offsets, and test an item with a
+/// branchless OR-fold over the query's boxes — no nested `Vec`s, no
+/// short-circuit branch per box. The light/heavy split and the light
+/// item's variance term depend only on the item, so both are hoisted out
+/// of the per-query loops. Each accumulator folds its hits in item order,
+/// so every answer is bit-identical to the one-query-at-a-time path.
+pub(crate) struct SampleScan {
+    tau: f64,
+    /// Query count of the batch.
+    queries: usize,
+    /// Query index of each single-box query.
+    single: Vec<usize>,
+    /// Single-box bounds on axis 0 (the key in 1-D, `x` in 2-D).
+    b0: Vec<(u64, u64)>,
+    /// Single-box bounds on axis 1 (2-D only).
+    b1: Vec<(u64, u64)>,
+    single_accs: Vec<SampleAccumulator>,
+    /// Query index of each multi-box query.
+    multi: Vec<usize>,
+    /// End offset of each multi-box query's run in `boxes`.
+    multi_end: Vec<usize>,
+    /// Every multi-box query's boxes, back to back: `[x0, x1, y0, y1]`.
+    boxes: Vec<[u64; 4]>,
+    multi_accs: Vec<SampleAccumulator>,
+}
+
+impl SampleScan {
+    /// Compiles `queries` against a `dims`-axis sample with threshold
+    /// `tau`.
+    pub fn new(queries: &[Query], dims: usize, tau: f64) -> Result<Self, QueryError> {
+        let mut scan = SampleScan {
+            tau,
+            queries: queries.len(),
+            single: Vec::with_capacity(queries.len()),
+            b0: Vec::with_capacity(queries.len()),
+            b1: Vec::with_capacity(queries.len()),
+            single_accs: Vec::new(),
+            multi: Vec::new(),
+            multi_end: Vec::new(),
+            boxes: Vec::new(),
+            multi_accs: Vec::new(),
+        };
+        let two_dim = dims == 2;
+        for (qi, q) in queries.iter().enumerate() {
+            let boxes = q.boxes(dims)?;
+            if let [axes] = boxes.as_slice() {
+                scan.single.push(qi);
+                scan.b0.push(axes[0]);
+                if two_dim {
+                    scan.b1.push(axes[1]);
+                }
+            } else {
+                for axes in &boxes {
+                    let (y0, y1) = if two_dim { axes[1] } else { (0, 0) };
+                    scan.boxes.push([axes[0].0, axes[0].1, y0, y1]);
+                }
+                scan.multi.push(qi);
+                scan.multi_end.push(scan.boxes.len());
+            }
+        }
+        scan.single_accs = vec![SampleAccumulator::default(); scan.single.len()];
+        scan.multi_accs = vec![SampleAccumulator::default(); scan.multi.len()];
+        Ok(scan)
+    }
+
+    /// Folds a 2-D sample's items in, as `(x, y, weight, adjusted)`.
+    #[inline]
+    pub fn scan_2d(&mut self, items: impl Iterator<Item = (u64, u64, f64, f64)>) {
+        let tau = self.tau;
+        for (x, y, w, a) in items {
+            let light = tau > 0.0 && w < tau;
+            let light_var = if light { tau * (tau - w) } else { 0.0 };
+            for ((acc, &(x0, x1)), &(y0, y1)) in
+                self.single_accs.iter_mut().zip(&self.b0).zip(&self.b1)
+            {
+                if x0 <= x && x <= x1 && y0 <= y && y <= y1 {
+                    acc.add_classified(a, tau, light, light_var);
+                }
+            }
+            let mut start = 0;
+            for (acc, &end) in self.multi_accs.iter_mut().zip(&self.multi_end) {
+                let hit = self.boxes[start..end]
+                    .iter()
+                    .fold(false, |hit, &[x0, x1, y0, y1]| {
+                        hit | ((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
+                    });
+                if hit {
+                    acc.add_classified(a, tau, light, light_var);
+                }
+                start = end;
+            }
+        }
+    }
+
+    /// Folds a 1-D sample's items in, as `(key, weight, adjusted)`.
+    #[inline]
+    pub fn scan_1d(&mut self, items: impl Iterator<Item = (u64, f64, f64)>) {
+        let tau = self.tau;
+        for (k, w, a) in items {
+            let light = tau > 0.0 && w < tau;
+            let light_var = if light { tau * (tau - w) } else { 0.0 };
+            for (acc, &(lo, hi)) in self.single_accs.iter_mut().zip(&self.b0) {
+                if lo <= k && k <= hi {
+                    acc.add_classified(a, tau, light, light_var);
+                }
+            }
+            let mut start = 0;
+            for (acc, &end) in self.multi_accs.iter_mut().zip(&self.multi_end) {
+                let hit = self.boxes[start..end]
+                    .iter()
+                    .fold(false, |hit, &[lo, hi, ..]| hit | ((lo <= k) & (k <= hi)));
+                if hit {
+                    acc.add_classified(a, tau, light, light_var);
+                }
+                start = end;
+            }
+        }
+    }
+
+    /// Finishes every query's accumulator at `confidence`, in query order.
+    pub fn finish(self, confidence: f64) -> Result<Vec<Estimate>, QueryError> {
+        let mut accs = vec![SampleAccumulator::default(); self.queries];
+        for (&qi, acc) in self.single.iter().zip(self.single_accs) {
+            accs[qi] = acc;
+        }
+        for (&qi, acc) in self.multi.iter().zip(self.multi_accs) {
+            accs[qi] = acc;
+        }
+        accs.into_iter()
+            .map(|a| a.finish(self.tau, confidence))
+            .collect()
     }
 }
 

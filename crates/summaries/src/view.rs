@@ -12,14 +12,19 @@
 //!
 //! ## Bit-identity contract
 //!
-//! The hot loops below deliberately **mirror** the owned implementations in
-//! `erased.rs` (`StoredSample::answer_batch`, `VarOptSampler::answer_batch`)
-//! operation for operation: same item order, same hoisted light/heavy
-//! classification, same accumulator, same finish. Columns hold the same
-//! little-endian words the v1 wire carries, so every float travels and
-//! folds identically and the answers are bit-identical to decoding the v1
-//! frame and asking it — pinned by the multi-seed property tests at the
-//! bottom of this file. When one side changes, change the other.
+//! The sample twin runs the **same kernel** as the owned
+//! `StoredSample::answer_batch`: both compile their queries into one
+//! `query::SampleScan` and feed it the item columns in item order. Single
+//! boxes sit in per-axis bound arrays; every box of every multi-box query
+//! sits in one flat `[x0, x1, y0, y1]` array with per-query end offsets,
+//! tested with a branchless OR-fold. The VarOpt twin **mirrors** the owned
+//! `VarOptSampler::answer_batch` operation for operation: same item order,
+//! same accumulation, same finish. Columns hold the same little-endian
+//! words the v1 wire carries, so every float travels and folds identically
+//! and the answers are bit-identical to decoding the v1 frame and asking
+//! it — pinned by the multi-seed property tests at the bottom of this
+//! file, whose fixtures include a 25-box 2-D and a 30-interval 1-D
+//! multi-range. When one side changes, change the other.
 //!
 //! Merging is the one thing a segment cannot do in place:
 //! [`SegmentSummary::hydrate`] rebuilds the owned summary (the store calls
@@ -37,7 +42,7 @@ use sas_core::varopt::VarOptSampler;
 use sas_core::KeyId;
 
 use crate::erased::{answer_one, in_interval, SummaryError};
-use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
+use crate::query::{Estimate, Query, QueryError, SampleScan};
 use crate::stored::StoredSample;
 use crate::{Summary, SummaryKind};
 
@@ -384,8 +389,9 @@ impl SegmentSummary {
         }
     }
 
-    /// Mirror of `StoredSample::answer_batch` over column bytes — see the
-    /// module docs for the bit-identity contract. Keep the twins in sync.
+    /// `StoredSample::answer_batch` over column bytes: the same
+    /// `SampleScan` kernel fed from the columns — see the module docs for
+    /// the bit-identity contract.
     #[allow(clippy::too_many_arguments)]
     fn answer_batch_sample(
         &self,
@@ -400,76 +406,24 @@ impl SegmentSummary {
         confidence: f64,
     ) -> Result<Vec<Estimate>, QueryError> {
         let b = self.data();
-        let compiled: Vec<Vec<Vec<(u64, u64)>>> = queries
-            .iter()
-            .map(|q| q.boxes(dims))
-            .collect::<Result<_, _>>()?;
-        let two_dim = dims == 2;
-        let mut accs = vec![SampleAccumulator::default(); queries.len()];
-        let mut qidx: Vec<usize> = Vec::with_capacity(queries.len());
-        let mut b0: Vec<(u64, u64)> = Vec::with_capacity(queries.len());
-        let mut b1: Vec<(u64, u64)> = Vec::with_capacity(queries.len());
-        type MultiBox<'a> = (usize, &'a [Vec<(u64, u64)>]);
-        let mut multi: Vec<MultiBox<'_>> = Vec::new();
-        for (qi, boxes) in compiled.iter().enumerate() {
-            if let [axes] = boxes.as_slice() {
-                qidx.push(qi);
-                b0.push(axes[0]);
-                if two_dim {
-                    b1.push(axes[1]);
-                }
-            } else {
-                multi.push((qi, boxes.as_slice()));
-            }
-        }
-        let mut flat = vec![SampleAccumulator::default(); qidx.len()];
-        if two_dim {
-            for (((x, y), w), a) in u64s(xs.slice(b))
-                .zip(u64s(ys.slice(b)))
-                .zip(f64s(weights.slice(b)))
-                .zip(f64s(adjusted.slice(b)))
-            {
-                let light = tau > 0.0 && w < tau;
-                let light_var = if light { tau * (tau - w) } else { 0.0 };
-                for ((acc, &(x0, x1)), &(y0, y1)) in flat.iter_mut().zip(&b0).zip(&b1) {
-                    if x0 <= x && x <= x1 && y0 <= y && y <= y1 {
-                        acc.add_classified(a, tau, light, light_var);
-                    }
-                }
-                for &(qi, boxes) in &multi {
-                    if boxes
-                        .iter()
-                        .any(|axes| in_interval(axes[0], x) && in_interval(axes[1], y))
-                    {
-                        accs[qi].add_classified(a, tau, light, light_var);
-                    }
-                }
-            }
+        let mut scan = SampleScan::new(queries, dims, tau)?;
+        if dims == 2 {
+            scan.scan_2d(
+                u64s(xs.slice(b))
+                    .zip(u64s(ys.slice(b)))
+                    .zip(f64s(weights.slice(b)))
+                    .zip(f64s(adjusted.slice(b)))
+                    .map(|(((x, y), w), a)| (x, y, w, a)),
+            );
         } else {
-            for ((k, w), a) in u64s(keys.slice(b))
-                .zip(f64s(weights.slice(b)))
-                .zip(f64s(adjusted.slice(b)))
-            {
-                let light = tau > 0.0 && w < tau;
-                let light_var = if light { tau * (tau - w) } else { 0.0 };
-                for (acc, &(lo, hi)) in flat.iter_mut().zip(&b0) {
-                    if lo <= k && k <= hi {
-                        acc.add_classified(a, tau, light, light_var);
-                    }
-                }
-                for &(qi, boxes) in &multi {
-                    if boxes.iter().any(|axes| in_interval(axes[0], k)) {
-                        accs[qi].add_classified(a, tau, light, light_var);
-                    }
-                }
-            }
+            scan.scan_1d(
+                u64s(keys.slice(b))
+                    .zip(f64s(weights.slice(b)))
+                    .zip(f64s(adjusted.slice(b)))
+                    .map(|((k, w), a)| (k, w, a)),
+            );
         }
-        for (&qi, acc) in qidx.iter().zip(flat) {
-            accs[qi] = acc;
-        }
-        accs.into_iter()
-            .map(|a| a.finish(tau, confidence))
-            .collect()
+        scan.finish(confidence)
     }
 
     /// Mirror of the erased `VarOptSampler::answer_batch` over column
@@ -701,6 +655,7 @@ mod tests {
                 Query::Point(vec![5, 9]),
                 Query::HierarchyNode { level: 4, index: 1 },
                 Query::MultiRange(vec![vec![(0, 15), (0, 63)], vec![(16, 31), (0, 63)]]),
+                many_boxes_2d(),
             ]
         } else {
             vec![
@@ -710,8 +665,26 @@ mod tests {
                 Query::Point(vec![7]),
                 Query::HierarchyNode { level: 6, index: 1 },
                 Query::MultiRange(vec![vec![(0, 49)], vec![(100, 199)]]),
+                many_intervals_1d(),
             ]
         }
+    }
+
+    /// 25 disjoint boxes tiling the 64 × 64 fixture square in a 5 × 5 grid
+    /// with gaps — the multi-box shape the paper's experiments ask.
+    fn many_boxes_2d() -> Query {
+        let mut boxes = Vec::new();
+        for i in 0..5u64 {
+            for j in 0..5u64 {
+                boxes.push(vec![(i * 13, i * 13 + 8), (j * 13 + 2, j * 13 + 10)]);
+            }
+        }
+        Query::MultiRange(boxes)
+    }
+
+    /// 30 disjoint intervals over the 300-key fixture domain, with gaps.
+    fn many_intervals_1d() -> Query {
+        Query::MultiRange((0..30u64).map(|i| vec![(i * 10, i * 10 + 6)]).collect())
     }
 
     fn assert_estimates_bit_identical(owned: &dyn Summary, seg: &SegmentSummary, ctx: &str) {
@@ -778,6 +751,43 @@ mod tests {
             let seg = SegmentSummary::from_vec(encode_segment(&owned).unwrap()).unwrap();
             let decoded = decode_summary(&encode_summary(&owned)).unwrap();
             assert_estimates_bit_identical(decoded.as_ref(), &seg, &format!("varopt seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn many_box_values_match_item_order_reference() {
+        // Both twins share one flat-box kernel; pin its OR-fold against the
+        // plain short-circuit `any` over nested boxes, in item order.
+        for seed in 0..40u64 {
+            let two_dim = seed % 2 == 1;
+            let owned = sample_fixture(seed, two_dim);
+            let query = if two_dim {
+                many_boxes_2d()
+            } else {
+                many_intervals_1d()
+            };
+            let boxes = query.boxes(owned.dims()).unwrap();
+            let mut reference = 0.0;
+            for i in 0..owned.len() {
+                let coords: Vec<u64> = if two_dim {
+                    vec![owned.xs()[i], owned.ys()[i]]
+                } else {
+                    vec![owned.keys()[i]]
+                };
+                let hit = boxes.iter().any(|axes| {
+                    axes.iter()
+                        .zip(&coords)
+                        .all(|(&axis, &c)| in_interval(axis, c))
+                });
+                if hit {
+                    reference += owned.adjusted_weights()[i];
+                }
+            }
+            let seg = SegmentSummary::from_vec(encode_segment(&owned).unwrap()).unwrap();
+            for s in [&owned as &dyn Summary, &seg] {
+                let value = s.answer(&query, 0.9).unwrap().value;
+                assert_eq!(value.to_bits(), reference.to_bits(), "seed {seed}");
+            }
         }
     }
 
