@@ -2,7 +2,11 @@
 //! ingest path (`sas_sampling::order::sample`), the sharded build
 //! (`summarize_sharded`), and a dedicated merge-tree phase that measures
 //! threshold merges per second *and* heap allocations per merge (this bin
-//! installs a counting global allocator for that purpose).
+//! installs a counting global allocator for that purpose), and two build
+//! kernels on the paper's network data (`NetworkConfig` defaults): the
+//! two-pass structure-aware build (`two_pass::sample_product`, s = 1000,
+//! guide factor 5) and streaming VarOpt (`VarOptSampler::sample_slice`,
+//! s = 5000), each reported as keys per second of the median build.
 //!
 //! Environment knobs: `SAS_SHARD_N` (stream length, default 400000),
 //! `SAS_SHARD_S` (budget, default 2000), `SAS_SHARD_MERGE_REPS`
@@ -14,12 +18,17 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sas_bench::{alloc_count, env_usize, fmt_err, parse_json_flag, print_table, timed, JsonObj};
+use sas_core::varopt::VarOptSampler;
 use sas_core::{total_weight, Sample, WeightedKey};
-use sas_sampling::order;
+use sas_data::network::NetworkConfig;
 use sas_sampling::sharded::{
     merge_sample_tree, per_shard_samples, summarize_sharded, ShardTopology, ShardedConfig,
 };
+use sas_sampling::{order, two_pass};
 use sas_structures::order::Interval;
+
+/// Builds per kernel in the build-kernel phase; the median is reported.
+const BUILD_REPS: usize = 11;
 
 #[global_allocator]
 static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
@@ -204,6 +213,57 @@ fn run() -> Result<(), String> {
         ]],
     );
 
+    // --- build kernels on the network data -------------------------------
+    let net = NetworkConfig::default().generate(&mut StdRng::seed_from_u64(seed + 4));
+    let net_keys = net.len() as f64;
+    let median_build_s = |build: &dyn Fn(&mut StdRng) -> usize, want: usize| {
+        let mut times = Vec::with_capacity(BUILD_REPS);
+        for rep in 0..BUILD_REPS {
+            let mut rng = StdRng::seed_from_u64(seed + 200 + rep as u64);
+            let (len, t) = timed(|| build(&mut rng));
+            if len != want {
+                return Err(format!("build {rep} has {len} entries, expected {want}"));
+            }
+            times.push(t);
+        }
+        times.sort_by(f64::total_cmp);
+        Ok(times[times.len() / 2])
+    };
+    let t_two_pass = median_build_s(
+        &|rng| two_pass::sample_product(&net, 1000, 5, rng).len(),
+        1000,
+    )
+    .map_err(|e| format!("two-pass: {e}"))?;
+    let t_varopt = median_build_s(
+        &|rng| VarOptSampler::sample_slice(5000, &net.keys, rng).len(),
+        5000,
+    )
+    .map_err(|e| format!("varopt: {e}"))?;
+    let two_pass_build_keys_per_s = net_keys / t_two_pass;
+    let varopt_keys_per_s = net_keys / t_varopt;
+
+    print_table(
+        &format!(
+            "build kernels (network data, {} keys, median of {BUILD_REPS})",
+            net.len()
+        ),
+        &["kernel", "s", "build ms", "keys_per_s"],
+        &[
+            vec![
+                "two_pass::sample_product".into(),
+                "1000".into(),
+                format!("{:.1}", t_two_pass * 1e3),
+                format!("{two_pass_build_keys_per_s:.0}"),
+            ],
+            vec![
+                "VarOptSampler::sample_slice".into(),
+                "5000".into(),
+                format!("{:.1}", t_varopt * 1e3),
+                format!("{varopt_keys_per_s:.0}"),
+            ],
+        ],
+    );
+
     if let Some(path) = json_path {
         let mut obj = JsonObj::new();
         obj.str("bench", "core_sharded")
@@ -213,7 +273,9 @@ fn run() -> Result<(), String> {
             .num("ingest_keys_per_s", ingest_keys_per_s)
             .num("sharded8_keys_per_s", sharded8_keys_per_s)
             .num("merge_tree_merges_per_s", merge_tree_merges_per_s)
-            .num("merge_tree_allocs_per_merge", merge_tree_allocs_per_merge);
+            .num("merge_tree_allocs_per_merge", merge_tree_allocs_per_merge)
+            .num("two_pass_build_keys_per_s", two_pass_build_keys_per_s)
+            .num("varopt_keys_per_s", varopt_keys_per_s);
         obj.write(&path)?;
         eprintln!("wrote {}", path.display());
     }

@@ -56,6 +56,9 @@ pub struct VarOptSampler {
     count: usize,
     /// Total processed weight (for diagnostics).
     total_weight: f64,
+    /// Scratch for `push`'s shrink pool, kept to reuse its allocation;
+    /// empty between calls, never persisted.
+    pool: Vec<Held>,
 }
 
 impl VarOptSampler {
@@ -72,6 +75,7 @@ impl VarOptSampler {
             tau: 0.0,
             count: 0,
             total_weight: 0.0,
+            pool: Vec::new(),
         }
     }
 
@@ -118,17 +122,16 @@ impl VarOptSampler {
         //
         // Pool the new key (if light) and pop large keys below τ' into a
         // "shrink pool"; all pool members and all small keys end up with
-        // adjusted weight τ', and exactly one candidate is dropped.
-        let mut pool: Vec<Held> = Vec::new();
+        // adjusted weight τ', and exactly one candidate is dropped. The pool
+        // reuses one buffer across calls and is empty between them.
+        let mut pool = std::mem::take(&mut self.pool);
         let mut pool_sum = 0.0;
-        let mut small_candidate_new = false;
 
         if weight > self.tau {
             self.heap_push(Held { key, weight });
         } else {
             pool.push(Held { key, weight });
             pool_sum += weight;
-            small_candidate_new = true;
         }
 
         // Iteratively raise τ'. Small keys contribute n_small·τ/τ'; pool
@@ -169,33 +172,32 @@ impl VarOptSampler {
             self.small.swap_remove(idx);
             self.small.extend(pool.iter().map(|h| h.key));
         } else {
+            // Kept pool members become small keys, in pool order.
             let mut acc = total_small_drop;
             let mut dropped = false;
-            let mut keep_from_pool: Vec<KeyId> = Vec::with_capacity(pool.len());
             for h in &pool {
                 let dp = 1.0 - h.weight / tau_new;
                 if !dropped && r < acc + dp {
                     dropped = true; // drop h
                 } else {
-                    keep_from_pool.push(h.key);
+                    self.small.push(h.key);
                 }
                 acc += dp;
             }
             if !dropped {
-                // Numerical slack: drop the lightest pool member, or if the
+                // Numerical slack: drop the last pool member kept, or if the
                 // pool is empty (can't happen when probabilities sum to 1,
                 // but guard anyway), drop a random small key.
-                if let Some(k) = keep_from_pool.pop() {
-                    let _ = k;
+                if !pool.is_empty() {
+                    self.small.pop();
                 } else if !self.small.is_empty() {
                     let idx = rng.gen_range(0..self.small.len());
                     self.small.swap_remove(idx);
-                } else if small_candidate_new {
-                    // nothing held the new key; it is simply not added
                 }
             }
-            self.small.extend(keep_from_pool);
         }
+        pool.clear();
+        self.pool = pool;
         self.tau = tau_new;
         debug_assert_eq!(self.held(), self.s);
     }
@@ -397,6 +399,7 @@ impl VarOptSampler {
             tau,
             count,
             total_weight,
+            pool: Vec::new(),
         })
     }
 

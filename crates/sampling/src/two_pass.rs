@@ -20,6 +20,22 @@
 //!
 //! The resulting sample is VarOpt with range discrepancy within an additive
 //! constant of the main-memory algorithms, w.h.p.
+//!
+//! **Active slots.** Pass 2 keeps its actives in a `Vec<Option<Active>>`
+//! indexed by a dense cell id, not in a hash map:
+//!
+//! * product: the kd node id (`tree.node_count()` slots; the finish reuses
+//!   the same vector, filling internal slots bottom-up);
+//! * order: the gap index (`boundaries.len() + 1` slots);
+//! * lowest selected ancestor: the hierarchy node id;
+//! * no light guide key: one slot.
+//!
+//! Memory stays `O(s′)` for the product and order variants: a kd tree over
+//! `s′` points has at most `2·s′` nodes, and `s′` boundaries leave `s′ + 1`
+//! gaps. No random draw depends on the order in which slots are visited:
+//! filling an empty slot draws nothing; after the kd or hierarchy sweep
+//! only the root's slot can still hold an active; and order cells drain in
+//! index order, which is their left-to-right order.
 
 use std::collections::HashMap;
 
@@ -45,31 +61,26 @@ struct Active {
     weight: f64,
 }
 
-/// Per-cell actives left when the stream ends, tagged by their cell.
-type CellActives<C> = Vec<(C, Active)>;
-
-/// Keys whose inclusion resolved to certainty, with exact weights.
-type IncludedKeys = Vec<(KeyId, f64)>;
-
-/// Shared pass-2 machinery (`IO-AGGREGATE`): one active slot per cell.
+/// Shared pass-2 machinery (`IO-AGGREGATE`): one active slot per cell,
+/// indexed by a dense cell id in `0..cells`.
 #[derive(Debug)]
-struct IoAggregator<C: std::hash::Hash + Eq + Copy> {
+struct IoAggregator {
     tau: f64,
-    active: HashMap<C, Active>,
+    active: Vec<Option<Active>>,
     included: Vec<(KeyId, f64)>,
 }
 
-impl<C: std::hash::Hash + Eq + Copy> IoAggregator<C> {
-    fn new(tau: f64) -> Self {
+impl IoAggregator {
+    fn new(tau: f64, cells: usize) -> Self {
         Self {
             tau,
-            active: HashMap::new(),
+            active: vec![None; cells],
             included: Vec::new(),
         }
     }
 
     /// Processes one key assigned to `cell` (the paper's Algorithm 3).
-    fn push<R: Rng + ?Sized>(&mut self, cell: C, key: KeyId, weight: f64, rng: &mut R) {
+    fn push<R: Rng + ?Sized>(&mut self, cell: usize, key: KeyId, weight: f64, rng: &mut R) {
         if weight <= 0.0 {
             return;
         }
@@ -83,64 +94,50 @@ impl<C: std::hash::Hash + Eq + Copy> IoAggregator<C> {
             return;
         }
         let incoming = Active { key, p, weight };
-        match self.active.remove(&cell) {
-            None => {
-                self.active.insert(cell, incoming);
-            }
-            Some(a) => {
-                let (pa, pi, _) = pair_aggregate(a.p, incoming.p, rng);
-                for (cand, np) in [(a, pa), (incoming, pi)] {
-                    if np >= 1.0 - ROOT_TOL {
-                        self.included.push((cand.key, cand.weight));
-                    } else if np > ROOT_TOL {
-                        self.active.insert(
-                            cell,
-                            Active {
-                                key: cand.key,
-                                p: np,
-                                weight: cand.weight,
-                            },
-                        );
-                    }
-                }
-            }
+        let slot = &mut self.active[cell];
+        match slot.take() {
+            None => *slot = Some(incoming),
+            Some(a) => *slot = aggregate_pair(a, incoming, &mut self.included, rng),
         }
     }
+}
 
-    /// Drains the per-cell actives for the final structure-following
-    /// aggregation.
-    fn into_parts(self) -> (CellActives<C>, IncludedKeys) {
-        (self.active.into_iter().collect(), self.included)
+/// Pair-aggregates two actives: keys resolving to inclusion are appended to
+/// `included`, and the survivor still fractional (if any) is returned.
+fn aggregate_pair<R: Rng + ?Sized>(
+    a: Active,
+    b: Active,
+    included: &mut Vec<(KeyId, f64)>,
+    rng: &mut R,
+) -> Option<Active> {
+    let (pa, pb, _) = pair_aggregate(a.p, b.p, rng);
+    let mut surv = None;
+    for (cand, np) in [(a, pa), (b, pb)] {
+        if np >= 1.0 - ROOT_TOL {
+            included.push((cand.key, cand.weight));
+        } else if np > ROOT_TOL {
+            surv = Some(Active {
+                key: cand.key,
+                p: np,
+                weight: cand.weight,
+            });
+        }
     }
+    surv
 }
 
 /// Aggregates a list of actives in the given order (left-to-right with one
 /// leftover), finalizing the last survivor. Appends included keys.
 fn finish_ordered<R: Rng + ?Sized>(
-    mut actives: Vec<Active>,
+    actives: impl IntoIterator<Item = Active>,
     included: &mut Vec<(KeyId, f64)>,
     rng: &mut R,
 ) {
     let mut leftover: Option<Active> = None;
-    for a in actives.drain(..) {
+    for a in actives {
         leftover = match leftover {
             None => Some(a),
-            Some(cur) => {
-                let (pc, pa, _) = pair_aggregate(cur.p, a.p, rng);
-                let mut surv = None;
-                for (cand, np) in [(cur, pc), (a, pa)] {
-                    if np >= 1.0 - ROOT_TOL {
-                        included.push((cand.key, cand.weight));
-                    } else if np > ROOT_TOL {
-                        surv = Some(Active {
-                            key: cand.key,
-                            p: np,
-                            weight: cand.weight,
-                        });
-                    }
-                }
-                surv
-            }
+            Some(cur) => aggregate_pair(cur, a, included, rng),
         };
     }
     if let Some(last) = leftover {
@@ -219,24 +216,18 @@ pub fn sample_product<R: Rng + ?Sized>(
 
     if light_items.is_empty() {
         // No light structure to exploit; degenerate to a single cell.
-        let mut agg: IoAggregator<u32> = IoAggregator::new(tau);
-        for (wk, p) in data.keys.iter().zip(&data.points) {
-            let _ = p;
+        let mut agg = IoAggregator::new(tau, 1);
+        for wk in &data.keys {
             agg.push(0, wk.key, wk.weight, rng);
         }
-        let (actives, mut included) = agg.into_parts();
-        finish_ordered(
-            actives.into_iter().map(|(_, a)| a).collect(),
-            &mut included,
-            rng,
-        );
-        return build_sample(included, tau);
+        finish_ordered(agg.active.into_iter().flatten(), &mut agg.included, rng);
+        return build_sample(agg.included, tau);
     }
 
     let tree = KdHierarchy::build(light_items, 0.0);
 
     // ---- Pass 2: IO-AGGREGATE keyed by kd leaf cell -----------------------
-    let mut agg: IoAggregator<KdNodeId> = IoAggregator::new(tau);
+    let mut agg = IoAggregator::new(tau, tree.node_count());
     for (wk, point) in data.keys.iter().zip(&data.points) {
         if wk.weight <= 0.0 {
             continue;
@@ -246,48 +237,28 @@ pub fn sample_product<R: Rng + ?Sized>(
             continue;
         }
         let cell = tree.locate(point);
-        agg.push(cell, wk.key, wk.weight, rng);
+        agg.push(cell as usize, wk.key, wk.weight, rng);
     }
-    let (cell_actives, mut included) = agg.into_parts();
+    let IoAggregator {
+        active: mut up,
+        mut included,
+        ..
+    } = agg;
 
     // ---- Finish: aggregate actives bottom-up along the kd hierarchy ------
-    let mut up: HashMap<KdNodeId, Active> = HashMap::new();
-    for (cell, a) in cell_actives {
-        // Leaves hold at most one active each by construction.
-        debug_assert!(!up.contains_key(&cell));
-        up.insert(cell, a);
-    }
-    // Children always have larger arena ids than their parent, so a single
-    // descending-id sweep is a post-order traversal.
+    // Actives sit in leaf slots only. Children always have larger arena ids
+    // than their parent, so a single descending-id sweep is a post-order
+    // traversal, and it leaves at most the root's slot filled.
     for n in (0..tree.node_count() as KdNodeId).rev() {
         let Some((l, r)) = tree.children(n) else {
             continue;
         };
-        let merged = match (up.remove(&l), up.remove(&r)) {
+        up[n as usize] = match (up[l as usize].take(), up[r as usize].take()) {
             (None, x) | (x, None) => x,
-            (Some(a), Some(b)) => {
-                let (pa, pb, _) = pair_aggregate(a.p, b.p, rng);
-                let mut surv = None;
-                for (cand, np) in [(a, pa), (b, pb)] {
-                    if np >= 1.0 - ROOT_TOL {
-                        included.push((cand.key, cand.weight));
-                    } else if np > ROOT_TOL {
-                        surv = Some(Active {
-                            key: cand.key,
-                            p: np,
-                            weight: cand.weight,
-                        });
-                    }
-                }
-                surv
-            }
+            (Some(a), Some(b)) => aggregate_pair(a, b, &mut included, rng),
         };
-        if let Some(m) = merged {
-            up.insert(n, m);
-        }
     }
-    // Root leftover (plus any actives stranded in single-leaf corner cases).
-    finish_ordered(up.into_values().collect(), &mut included, rng);
+    finish_ordered(up.into_iter().flatten(), &mut included, rng);
     build_sample(included, tau)
 }
 
@@ -332,10 +303,10 @@ pub fn sample_order<R: Rng + ?Sized>(
     boundaries.dedup();
     // Cell of x = number of boundaries strictly below x (so each boundary
     // key starts a new cell to its right, matching the (i_j, i_{j+1}] cells).
-    let cell_of = |x: u64, bs: &[u64]| -> u64 { bs.partition_point(|&b| b < x) as u64 };
+    let cell_of = |x: u64, bs: &[u64]| -> usize { bs.partition_point(|&b| b < x) };
 
     // ---- Pass 2 ------------------------------------------------------------
-    let mut agg: IoAggregator<u64> = IoAggregator::new(tau);
+    let mut agg = IoAggregator::new(tau, boundaries.len() + 1);
     for wk in data {
         if wk.weight <= 0.0 {
             continue;
@@ -347,17 +318,11 @@ pub fn sample_order<R: Rng + ?Sized>(
         let cell = cell_of(position(wk.key), &boundaries);
         agg.push(cell, wk.key, wk.weight, rng);
     }
-    let (cell_actives, mut included) = agg.into_parts();
 
     // ---- Finish: aggregate actives left-to-right along the order ----------
-    let mut actives: Vec<(u64, Active)> = cell_actives;
-    actives.sort_by_key(|(cell, _)| *cell);
-    finish_ordered(
-        actives.into_iter().map(|(_, a)| a).collect(),
-        &mut included,
-        rng,
-    );
-    build_sample(included, tau)
+    // Slots are indexed by cell, so they drain in order.
+    finish_ordered(agg.active.into_iter().flatten(), &mut agg.included, rng);
+    build_sample(agg.included, tau)
 }
 
 /// Two-pass structure-aware sampling for a **hierarchy**, via its
@@ -373,7 +338,11 @@ pub fn sample_hierarchy<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Sample {
     let pos: HashMap<KeyId, u64> = hierarchy.linearize().map(|(p, k)| (k, p)).collect();
-    sample_order(data, s, guide_factor, |k| pos[&k], rng)
+    let position = |k| match pos.get(&k) {
+        Some(&p) => p,
+        None => panic!("key {k} not in hierarchy"),
+    };
+    sample_order(data, s, guide_factor, position, rng)
 }
 
 /// Two-pass hierarchy sampling with the **lowest-selected-ancestor**
@@ -440,7 +409,7 @@ pub fn sample_hierarchy_ancestors<R: Rng + ?Sized>(
     };
 
     // ---- Pass 2 ------------------------------------------------------------
-    let mut agg: IoAggregator<NodeId> = IoAggregator::new(tau);
+    let mut agg = IoAggregator::new(tau, hierarchy.node_count());
     for wk in data {
         if wk.weight <= 0.0 {
             continue;
@@ -452,58 +421,33 @@ pub fn sample_hierarchy_ancestors<R: Rng + ?Sized>(
         let leaf = *leaf_of
             .get(&wk.key)
             .unwrap_or_else(|| panic!("key {} not in hierarchy", wk.key));
-        agg.push(cell_of(leaf), wk.key, wk.weight, rng);
+        agg.push(cell_of(leaf) as usize, wk.key, wk.weight, rng);
     }
-    let (cell_actives, mut included) = agg.into_parts();
+    let IoAggregator {
+        active: mut up,
+        mut included,
+        ..
+    } = agg;
 
     // ---- Finish: merge actives up the hierarchy (deepest first) ------------
-    fn merge_into<R2: Rng + ?Sized>(
-        slot: &mut HashMap<sas_structures::hierarchy::NodeId, Active>,
-        node: sas_structures::hierarchy::NodeId,
-        a: Active,
-        included: &mut Vec<(KeyId, f64)>,
-        rng: &mut R2,
-    ) {
-        match slot.remove(&node) {
-            None => {
-                slot.insert(node, a);
-            }
-            Some(b) => {
-                let (pa, pb, _) = pair_aggregate(a.p, b.p, rng);
-                for (cand, np) in [(a, pa), (b, pb)] {
-                    if np >= 1.0 - ROOT_TOL {
-                        included.push((cand.key, cand.weight));
-                    } else if np > ROOT_TOL {
-                        slot.insert(
-                            node,
-                            Active {
-                                key: cand.key,
-                                p: np,
-                                weight: cand.weight,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-    let mut up: HashMap<NodeId, Active> = HashMap::new();
-    for (node, a) in cell_actives {
-        merge_into(&mut up, node, a, &mut included, rng);
-    }
-    // Nodes sorted by depth descending: children resolve before parents.
+    // Nodes sorted by depth descending: children resolve before parents, so
+    // the sweep leaves at most the root's slot filled.
     let mut order: Vec<NodeId> = (0..hierarchy.node_count() as NodeId).collect();
     order.sort_by_key(|&n| std::cmp::Reverse(hierarchy.depth(n)));
     for n in order {
         if n == hierarchy.root() {
             continue;
         }
-        if let Some(a) = up.remove(&n) {
+        if let Some(a) = up[n as usize].take() {
             let parent = hierarchy.parent(n).expect("non-root has parent");
-            merge_into(&mut up, parent, a, &mut included, rng);
+            let slot = &mut up[parent as usize];
+            *slot = match slot.take() {
+                None => Some(a),
+                Some(b) => aggregate_pair(a, b, &mut included, rng),
+            };
         }
     }
-    finish_ordered(up.into_values().collect(), &mut included, rng);
+    finish_ordered(up.into_iter().flatten(), &mut included, rng);
     build_sample(included, tau)
 }
 
@@ -686,6 +630,34 @@ mod tests {
         }
         let mean = sum / runs as f64;
         assert!((mean - truth).abs() / truth < 0.05, "{mean} vs {truth}");
+    }
+
+    /// Figure 1's keys plus key 99, which no hierarchy leaf carries.
+    fn figure1_data_with_stray_key() -> Vec<WeightedKey> {
+        let w = [3.0, 6.0, 4.0, 7.0, 1.0, 8.0, 4.0, 2.0, 3.0, 2.0];
+        let mut data: Vec<WeightedKey> = w
+            .iter()
+            .enumerate()
+            .map(|(i, &wt)| WeightedKey::new(i as u64 + 1, wt))
+            .collect();
+        data.push(WeightedKey::new(99, 1.0));
+        data
+    }
+
+    #[test]
+    #[should_panic(expected = "key 99 not in hierarchy")]
+    fn hierarchy_names_a_key_outside_the_hierarchy() {
+        let h = sas_structures::hierarchy::figure1_hierarchy();
+        let mut rng = StdRng::seed_from_u64(30);
+        sample_hierarchy(&figure1_data_with_stray_key(), &h, 4, 2, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 99 not in hierarchy")]
+    fn hierarchy_ancestors_names_a_key_outside_the_hierarchy() {
+        let h = sas_structures::hierarchy::figure1_hierarchy();
+        let mut rng = StdRng::seed_from_u64(31);
+        sample_hierarchy_ancestors(&figure1_data_with_stray_key(), &h, 4, 2, &mut rng);
     }
 
     #[test]

@@ -49,6 +49,8 @@ ingest_keys_per_s=$(field "$tmp/sharded.json" ingest_keys_per_s)
 sharded8_keys_per_s=$(field "$tmp/sharded.json" sharded8_keys_per_s)
 merge_tree_merges_per_s=$(field "$tmp/sharded.json" merge_tree_merges_per_s)
 merge_tree_allocs_per_merge=$(field "$tmp/sharded.json" merge_tree_allocs_per_merge)
+two_pass_build_keys_per_s=$(field "$tmp/sharded.json" two_pass_build_keys_per_s)
+varopt_keys_per_s=$(field "$tmp/sharded.json" varopt_keys_per_s)
 codec_encode_mb_s=$(field "$tmp/codec.json" codec_encode_mb_s)
 codec_decode_mb_s=$(field "$tmp/codec.json" codec_decode_mb_s)
 merge_from_disk_mb_s=$(field "$tmp/codec.json" merge_from_disk_mb_s)
@@ -71,6 +73,8 @@ cold_query_decode_qps=$(field "$tmp/cold.json" cold_query_decode_qps)
     sharded8_keys_per_s "$sharded8_keys_per_s" \
     merge_tree_merges_per_s "$merge_tree_merges_per_s" \
     merge_tree_allocs_per_merge "$merge_tree_allocs_per_merge" \
+    two_pass_build_keys_per_s "$two_pass_build_keys_per_s" \
+    varopt_keys_per_s "$varopt_keys_per_s" \
     codec_encode_mb_s "$codec_encode_mb_s" \
     codec_decode_mb_s "$codec_decode_mb_s" \
     merge_from_disk_mb_s "$merge_from_disk_mb_s" \

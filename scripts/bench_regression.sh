@@ -27,6 +27,7 @@ if [ "${1:-}" = "--core" ]; then
   base=${2:-$(dirname "$0")/../BENCH_core.json}
   fail=0
   rates="ingest_keys_per_s sharded8_keys_per_s merge_tree_merges_per_s \
+    two_pass_build_keys_per_s varopt_keys_per_s \
     codec_encode_mb_s codec_decode_mb_s merge_from_disk_mb_s \
     merge_from_disk_merges_per_s answer_batch_1d_qps answer_loop_1d_qps \
     answer_batch_2d_qps answer_loop_2d_qps answer_batch_multi_2d_qps \
