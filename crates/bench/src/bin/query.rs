@@ -11,7 +11,8 @@
 //! 2. **kernels** — the two costs of a sample answer on their own:
 //!    inverting the Eqn. 4 bound (`weight_confidence_interval`) over a
 //!    fixed grid of 25,200 `(a_j, τ, δ)` inputs, and `answer_batch` of
-//!    25-box multi-range queries on the 2-D stored sample.
+//!    multi-range queries on the 2-D stored sample — 25-box queries in
+//!    batches of `SAS_QUERY_BATCH`, and one 3-box query per call.
 //! 3. **store-level** — `Store::estimate` ops/s at 1/4/8 threads, cold
 //!    (distinct canonical queries, every call walks the windows) and hot
 //!    (one repeated query, served by the LRU cache).
@@ -261,8 +262,8 @@ fn run() -> Result<(), String> {
         &table,
     );
 
-    // Kernels: the bound inversion alone, and 25-box queries on the 2-D
-    // sample (the flat multi-box test), checked against the loop path.
+    // Kernels: the bound inversion alone, and multi-box queries on the 2-D
+    // sample (the slab-indexed box test), checked against the loop path.
     let grid_reps = (reps / 10).max(1);
     let ((intervals, checksum), grid_secs) = timed(|| {
         let mut last = (0, 0.0);
@@ -304,6 +305,28 @@ fn run() -> Result<(), String> {
         }
     }
     let answer_batch_multi_2d_qps = (multi.len() * reps) as f64 / multi_secs;
+    // The small side of the multi-box index: one 3-box query per call.
+    let small = [Query::MultiRange(vec![
+        vec![(0, 40), (10, 90)],
+        vec![(100, 130), (0, 255)],
+        vec![(200, 255), (120, 160)],
+    ])];
+    let small_calls = batch * reps;
+    let (small_answer, small_secs) = timed(|| {
+        let mut last = Ok(Vec::new());
+        for _ in 0..small_calls {
+            last = sample2d.answer_batch(std::hint::black_box(&small), confidence);
+        }
+        last
+    });
+    let small_answer = small_answer.map_err(|e| format!("3-box batch answer: {e}"))?;
+    let small_loop = sample2d
+        .answer(&small[0], confidence)
+        .map_err(|e| format!("3-box answer: {e}"))?;
+    if small_answer.first().map(|e| e.value.to_bits()) != Some(small_loop.value.to_bits()) {
+        return Err("3-box batch answer drifted from loop answer".into());
+    }
+    let answer_multi_small_2d_qps = small_calls as f64 / small_secs;
     print_table(
         "kernels",
         &["kernel", "rate"],
@@ -315,6 +338,10 @@ fn run() -> Result<(), String> {
             vec![
                 format!("25-box answer_batch queries/s ({batch} x {reps})"),
                 format!("{answer_batch_multi_2d_qps:.0}"),
+            ],
+            vec![
+                format!("3-box answer_batch queries/s (1 x {small_calls})"),
+                format!("{answer_multi_small_2d_qps:.0}"),
             ],
         ],
     );
@@ -423,6 +450,7 @@ fn run() -> Result<(), String> {
         obj.obj("kinds", &kinds)
             .num("bound_intervals_per_s", bound_intervals_per_s)
             .num("answer_batch_multi_2d_qps", answer_batch_multi_2d_qps)
+            .num("answer_multi_small_2d_qps", answer_multi_small_2d_qps)
             .num("store_hot_8t_ops_per_s", store_hot_8t);
         obj.write(&path)?;
         eprintln!("wrote {}", path.display());

@@ -200,6 +200,30 @@ fn boxes_overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
     })
 }
 
+/// The indices of some pair of overlapping boxes, the earlier one first, or
+/// `None` when the boxes are pairwise disjoint.
+///
+/// Sweeps the boxes in order of their axis-0 interval (a missing axis is
+/// full-domain) and tests each one only against the earlier boxes whose
+/// axis-0 `hi` reaches its `lo`: boxes that do not meet on axis 0 cannot
+/// overlap. For the disjoint intervals and grids that multi-range queries
+/// are made of, that is a handful of tests per box instead of all pairs.
+fn overlapping_pair(boxes: &[Vec<(u64, u64)>]) -> Option<(usize, usize)> {
+    let axis0 = |i: usize| boxes[i].first().copied().unwrap_or(FULL);
+    let mut order: Vec<usize> = (0..boxes.len()).collect();
+    order.sort_unstable_by_key(|&i| axis0(i));
+    let mut open: Vec<usize> = Vec::new();
+    for i in order {
+        let lo = axis0(i).0;
+        open.retain(|&j| axis0(j).1 >= lo);
+        if let Some(&j) = open.iter().find(|&&j| boxes_overlap(&boxes[i], &boxes[j])) {
+            return Some((i.min(j), i.max(j)));
+        }
+        open.push(i);
+    }
+    None
+}
+
 /// The same union of boxes as a [`Query::MultiRange`] — how the experiment
 /// harness hands its `sas-data` query batteries to
 /// [`Summary::answer_batch`](crate::Summary::answer_batch).
@@ -290,14 +314,11 @@ impl Query {
                 for axes in boxes {
                     axes_valid(axes)?;
                 }
-                for (i, a) in boxes.iter().enumerate() {
-                    for b in &boxes[i + 1..] {
-                        if boxes_overlap(a, b) {
-                            return bad(format!(
-                                "multi-range boxes {a:?} and {b:?} overlap (the union must be disjoint)"
-                            ));
-                        }
-                    }
+                if let Some((a, b)) = overlapping_pair(boxes) {
+                    let (a, b) = (&boxes[a], &boxes[b]);
+                    return bad(format!(
+                        "multi-range boxes {a:?} and {b:?} overlap (the union must be disjoint)"
+                    ));
                 }
                 if boxes.len() == 1 {
                     return Query::BoxRange(boxes[0].clone()).canonical();
@@ -698,14 +719,16 @@ impl SampleAccumulator {
 ///
 /// Single-box queries (every shape except a multi-box `MultiRange`) have
 /// their bounds flattened into parallel per-axis arrays, so the hot loop
-/// tests an item against plain bound arrays. Multi-box queries keep every
-/// box in one contiguous array of `[x0, x1, y0, y1]` (1-D queries use the
-/// `x` pair only) with per-query end offsets, and test an item with a
-/// branchless OR-fold over the query's boxes — no nested `Vec`s, no
-/// short-circuit branch per box. The light/heavy split and the light
-/// item's variance term depend only on the item, so both are hoisted out
-/// of the per-query loops. Each accumulator folds its hits in item order,
-/// so every answer is bit-identical to the one-query-at-a-time path.
+/// tests an item against plain bound arrays. Multi-box queries go through
+/// a [`SlabIndex`]: axis 0 is cut into slabs, each box is registered in
+/// every slab its `[x0, x1]` meets, and an item is tested — with a
+/// branchless OR-fold per query — only against the boxes of its own slab.
+/// A box that contains the item's `x` meets the item's slab, so no hit is
+/// lost, and the fold over a query's boxes yields the same hit bit as the
+/// fold over all of them. The light/heavy split and the light item's
+/// variance term depend only on the item, so both are hoisted out of the
+/// per-query loops. Each accumulator folds its hits in item order, so every
+/// answer is bit-identical to the one-query-at-a-time path.
 pub(crate) struct SampleScan {
     tau: f64,
     /// Query count of the batch.
@@ -719,55 +742,75 @@ pub(crate) struct SampleScan {
     single_accs: Vec<SampleAccumulator>,
     /// Query index of each multi-box query.
     multi: Vec<usize>,
-    /// End offset of each multi-box query's run in `boxes`.
-    multi_end: Vec<usize>,
-    /// Every multi-box query's boxes, back to back: `[x0, x1, y0, y1]`.
-    boxes: Vec<[u64; 4]>,
-    multi_accs: Vec<SampleAccumulator>,
+    /// The multi-box queries' boxes, by slab on axis 0, and their
+    /// accumulators.
+    index: SlabIndex,
 }
 
 impl SampleScan {
     /// Compiles `queries` against a `dims`-axis sample with threshold
     /// `tau`.
     pub fn new(queries: &[Query], dims: usize, tau: f64) -> Result<Self, QueryError> {
-        let mut scan = SampleScan {
-            tau,
-            queries: queries.len(),
-            single: Vec::with_capacity(queries.len()),
-            b0: Vec::with_capacity(queries.len()),
-            b1: Vec::with_capacity(queries.len()),
-            single_accs: Vec::new(),
-            multi: Vec::new(),
-            multi_end: Vec::new(),
-            boxes: Vec::new(),
-            multi_accs: Vec::new(),
-        };
+        let mut single = Vec::with_capacity(queries.len());
+        let mut b0 = Vec::with_capacity(queries.len());
+        let mut b1 = Vec::with_capacity(queries.len());
+        let mut multi = Vec::new();
+        // Every multi-box query's boxes back to back, `[x0, x1, y0, y1]`
+        // (1-D queries use the `x` pair only), with per-query end offsets.
+        let mut flat = Vec::new();
+        let mut ends = Vec::new();
         let two_dim = dims == 2;
         for (qi, q) in queries.iter().enumerate() {
             let boxes = q.boxes(dims)?;
             if let [axes] = boxes.as_slice() {
-                scan.single.push(qi);
-                scan.b0.push(axes[0]);
+                single.push(qi);
+                b0.push(axes[0]);
                 if two_dim {
-                    scan.b1.push(axes[1]);
+                    b1.push(axes[1]);
                 }
             } else {
-                for axes in &boxes {
-                    let (y0, y1) = if two_dim { axes[1] } else { (0, 0) };
-                    scan.boxes.push([axes[0].0, axes[0].1, y0, y1]);
-                }
-                scan.multi.push(qi);
-                scan.multi_end.push(scan.boxes.len());
+                flat.extend(boxes.iter().map(|axes| flat_box(axes, two_dim)));
+                multi.push(qi);
+                ends.push(flat.len());
             }
         }
-        scan.single_accs = vec![SampleAccumulator::default(); scan.single.len()];
-        scan.multi_accs = vec![SampleAccumulator::default(); scan.multi.len()];
-        Ok(scan)
+        Ok(SampleScan {
+            tau,
+            queries: queries.len(),
+            single_accs: vec![SampleAccumulator::default(); single.len()],
+            single,
+            b0,
+            b1,
+            multi,
+            index: SlabIndex::build(&flat, &ends),
+        })
+    }
+
+    /// The multi-box index's cuts (`K − 1` of them) and its registration
+    /// count.
+    #[cfg(test)]
+    pub(crate) fn slab_shape(&self) -> (&[u64], usize) {
+        (&self.index.cuts, self.index.boxes.len())
     }
 
     /// Folds a 2-D sample's items in, as `(x, y, weight, adjusted)`.
     #[inline]
     pub fn scan_2d(&mut self, items: impl Iterator<Item = (u64, u64, f64, f64)>) {
+        if self.multi.is_empty() {
+            self.scan_2d_with::<false>(items);
+        } else {
+            self.scan_2d_with::<true>(items);
+        }
+    }
+
+    /// The item loop, chosen once per batch: batches without a multi-box
+    /// query get a loop that holds the single-box tests alone, the others
+    /// one with the multi-box fold inlined.
+    #[inline(always)]
+    fn scan_2d_with<const MULTI: bool>(
+        &mut self,
+        items: impl Iterator<Item = (u64, u64, f64, f64)>,
+    ) {
         let tau = self.tau;
         for (x, y, w, a) in items {
             let light = tau > 0.0 && w < tau;
@@ -779,17 +822,8 @@ impl SampleScan {
                     acc.add_classified(a, tau, light, light_var);
                 }
             }
-            let mut start = 0;
-            for (acc, &end) in self.multi_accs.iter_mut().zip(&self.multi_end) {
-                let hit = self.boxes[start..end]
-                    .iter()
-                    .fold(false, |hit, &[x0, x1, y0, y1]| {
-                        hit | ((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
-                    });
-                if hit {
-                    acc.add_classified(a, tau, light, light_var);
-                }
-                start = end;
+            if MULTI {
+                self.index.fold_2d(x, y, a, tau, light, light_var);
             }
         }
     }
@@ -797,6 +831,16 @@ impl SampleScan {
     /// Folds a 1-D sample's items in, as `(key, weight, adjusted)`.
     #[inline]
     pub fn scan_1d(&mut self, items: impl Iterator<Item = (u64, f64, f64)>) {
+        if self.multi.is_empty() {
+            self.scan_1d_with::<false>(items);
+        } else {
+            self.scan_1d_with::<true>(items);
+        }
+    }
+
+    /// [`Self::scan_2d_with`] for 1-D items.
+    #[inline(always)]
+    fn scan_1d_with<const MULTI: bool>(&mut self, items: impl Iterator<Item = (u64, f64, f64)>) {
         let tau = self.tau;
         for (k, w, a) in items {
             let light = tau > 0.0 && w < tau;
@@ -806,15 +850,8 @@ impl SampleScan {
                     acc.add_classified(a, tau, light, light_var);
                 }
             }
-            let mut start = 0;
-            for (acc, &end) in self.multi_accs.iter_mut().zip(&self.multi_end) {
-                let hit = self.boxes[start..end]
-                    .iter()
-                    .fold(false, |hit, &[lo, hi, ..]| hit | ((lo <= k) & (k <= hi)));
-                if hit {
-                    acc.add_classified(a, tau, light, light_var);
-                }
-                start = end;
+            if MULTI {
+                self.index.fold_1d(k, a, tau, light, light_var);
             }
         }
     }
@@ -825,13 +862,198 @@ impl SampleScan {
         for (&qi, acc) in self.single.iter().zip(self.single_accs) {
             accs[qi] = acc;
         }
-        for (&qi, acc) in self.multi.iter().zip(self.multi_accs) {
+        for (&qi, acc) in self.multi.iter().zip(self.index.accs) {
             accs[qi] = acc;
         }
         accs.into_iter()
             .map(|a| a.finish(self.tau, confidence))
             .collect()
     }
+}
+
+/// The flat fold the slab index replaced, kept as the reference its tests
+/// compare against: every query's boxes in one array (single boxes too),
+/// each item tested against every box of every query with the same OR-fold,
+/// hits folded in item order. 1-D items come in as `(key, 0, weight,
+/// adjusted)`.
+#[cfg(test)]
+pub(crate) fn flat_fold_reference(
+    queries: &[Query],
+    dims: usize,
+    tau: f64,
+    items: impl Iterator<Item = (u64, u64, f64, f64)>,
+    confidence: f64,
+) -> Result<Vec<Estimate>, QueryError> {
+    let mut boxes = Vec::new();
+    let mut ends = Vec::new();
+    for q in queries {
+        boxes.extend(q.boxes(dims)?.iter().map(|axes| flat_box(axes, dims == 2)));
+        ends.push(boxes.len());
+    }
+    let mut accs = vec![SampleAccumulator::default(); queries.len()];
+    for (x, y, w, a) in items {
+        let light = tau > 0.0 && w < tau;
+        let light_var = if light { tau * (tau - w) } else { 0.0 };
+        let mut start = 0;
+        for (acc, &end) in accs.iter_mut().zip(&ends) {
+            let hit = boxes[start..end]
+                .iter()
+                .fold(false, |hit, &[x0, x1, y0, y1]| {
+                    hit | ((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
+                });
+            if hit {
+                acc.add_classified(a, tau, light, light_var);
+            }
+            start = end;
+        }
+    }
+    accs.into_iter()
+        .map(|a| a.finish(tau, confidence))
+        .collect()
+}
+
+/// A box normalized to `dims` axes as `[x0, x1, y0, y1]`; 1-D boxes get
+/// `y = [0, 0]`, which the 1-D fold never reads.
+fn flat_box(axes: &[(u64, u64)], two_dim: bool) -> [u64; 4] {
+    let (y0, y1) = if two_dim { axes[1] } else { (0, 0) };
+    [axes[0].0, axes[0].1, y0, y1]
+}
+
+/// The boxes of a batch's multi-box queries, cut into `K` slabs along
+/// axis 0.
+///
+/// The cuts sit at quantiles of the distinct box endpoints (`x0` and
+/// `x1 + 1`, saturating), so slab `s` is `[cuts[s - 1], cuts[s])`, slab 0
+/// starts at 0 and the last slab runs through `u64::MAX`. Each box is
+/// registered in every slab its `[x0, x1]` meets; inside a slab the layout
+/// is the flat one — a query's registered boxes back to back, in the
+/// query's order, closed by a `(query, end)` run, runs in query order. One
+/// slab is the flat layout itself.
+///
+/// `K` comes from the batch: it starts at `⌈√B⌉` for `B` boxes, capped at
+/// the number of distinct endpoints, and halves while the registrations
+/// exceed `4·B`, so the index never holds more than four copies of the
+/// flat box array — not even when every box spans all of axis 0.
+#[derive(Default)]
+struct SlabIndex {
+    /// The lower edges of slabs `1..K`, strictly increasing.
+    cuts: Vec<u64>,
+    /// Slab `s` owns `runs[slabs[s].0..slabs[s + 1].0]` and the boxes from
+    /// `slabs[s].1` on; one trailing sentinel.
+    slabs: Vec<(usize, usize)>,
+    /// `(multi-box query, end offset in boxes)` of each run.
+    runs: Vec<(usize, usize)>,
+    /// Registered boxes, slab by slab: `[x0, x1, y0, y1]`.
+    boxes: Vec<[u64; 4]>,
+    /// One accumulator per multi-box query.
+    accs: Vec<SampleAccumulator>,
+}
+
+impl SlabIndex {
+    /// Indexes `flat`, whose query `q` owns the boxes up to `ends[q]`.
+    fn build(flat: &[[u64; 4]], ends: &[usize]) -> SlabIndex {
+        if flat.is_empty() {
+            return SlabIndex::default();
+        }
+        let b = flat.len();
+        let mut endpoints: Vec<u64> = flat
+            .iter()
+            .flat_map(|&[x0, x1, ..]| [x0, x1.saturating_add(1)])
+            .collect();
+        endpoints.sort_unstable();
+        endpoints.dedup();
+        let mut k = ((b as f64).sqrt().ceil() as usize)
+            .min(endpoints.len())
+            .max(1);
+        let cuts = loop {
+            // `i·D/K` rises by at least one per step while `K ≤ D`, so the
+            // cuts are distinct.
+            let cuts: Vec<u64> = (1..k).map(|i| endpoints[i * endpoints.len() / k]).collect();
+            let registrations: usize = flat
+                .iter()
+                .map(|&[x0, x1, ..]| slab_of(&cuts, x1) - slab_of(&cuts, x0) + 1)
+                .sum();
+            if k == 1 || registrations <= 4 * b {
+                break cuts;
+            }
+            k /= 2;
+        };
+        // Each slab's members in flat order: by query, then by box.
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
+        for (i, &[x0, x1, ..]) in flat.iter().enumerate() {
+            for slab in &mut members[slab_of(&cuts, x0)..=slab_of(&cuts, x1)] {
+                slab.push(i);
+            }
+        }
+        let mut query_of = Vec::with_capacity(b);
+        for (q, &end) in ends.iter().enumerate() {
+            query_of.resize(end, q);
+        }
+        let mut index = SlabIndex {
+            cuts,
+            slabs: Vec::with_capacity(k + 1),
+            runs: Vec::new(),
+            boxes: Vec::with_capacity(members.iter().map(Vec::len).sum()),
+            accs: vec![SampleAccumulator::default(); ends.len()],
+        };
+        for slab in &members {
+            let first_run = index.runs.len();
+            index.slabs.push((first_run, index.boxes.len()));
+            for &i in slab {
+                index.boxes.push(flat[i]);
+                let end = index.boxes.len();
+                match index.runs[first_run..].last_mut() {
+                    Some((q, run_end)) if *q == query_of[i] => *run_end = end,
+                    _ => index.runs.push((query_of[i], end)),
+                }
+            }
+        }
+        index.slabs.push((index.runs.len(), index.boxes.len()));
+        index
+    }
+
+    /// Folds a 2-D item into every multi-box query with a box holding it.
+    #[inline(always)]
+    fn fold_2d(&mut self, x: u64, y: u64, a: f64, tau: f64, light: bool, light_var: f64) {
+        let s = slab_of(&self.cuts, x);
+        let (first_run, mut start) = self.slabs[s];
+        for &(q, end) in &self.runs[first_run..self.slabs[s + 1].0] {
+            let hit = self.boxes[start..end]
+                .iter()
+                .fold(false, |hit, &[x0, x1, y0, y1]| {
+                    hit | ((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
+                });
+            if hit {
+                self.accs[q].add_classified(a, tau, light, light_var);
+            }
+            start = end;
+        }
+    }
+
+    /// [`Self::fold_2d`] for a 1-D item (key `k`).
+    #[inline(always)]
+    fn fold_1d(&mut self, k: u64, a: f64, tau: f64, light: bool, light_var: f64) {
+        let s = slab_of(&self.cuts, k);
+        let (first_run, mut start) = self.slabs[s];
+        for &(q, end) in &self.runs[first_run..self.slabs[s + 1].0] {
+            let hit = self.boxes[start..end]
+                .iter()
+                .fold(false, |hit, &[lo, hi, ..]| hit | ((lo <= k) & (k <= hi)));
+            if hit {
+                self.accs[q].add_classified(a, tau, light, light_var);
+            }
+            start = end;
+        }
+    }
+}
+
+/// The slab holding `x`: the number of cuts at or below it, counted over
+/// every cut without a branch. There are fewer than `⌈√B⌉` cuts, and for
+/// the few cuts of small batches a binary search's loop costs more than
+/// the whole count.
+#[inline(always)]
+fn slab_of(cuts: &[u64], x: u64) -> usize {
+    cuts.iter().map(|&c| usize::from(c <= x)).sum()
 }
 
 #[cfg(test)]
@@ -1102,5 +1324,174 @@ mod tests {
             acc.finish(4.0, 1.0),
             Err(QueryError::BadConfidence(_))
         ));
+    }
+
+    /// `count` multi-range queries of `per` random boxes each, disjoint
+    /// inside a query (one box per column of a `per`-column grid over a
+    /// `2^16` square; 1-D keeps the `x` side), as the paper's uniform-area
+    /// batteries are.
+    fn grid_battery(count: u64, per: u64, dims: usize) -> Vec<Query> {
+        let span = 1u64 << 16;
+        let cell = span / per;
+        let mix = |mut z: u64| {
+            z = (z ^ (z >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            z ^ (z >> 29)
+        };
+        (0..count)
+            .map(|q| {
+                Query::MultiRange(
+                    (0..per)
+                        .map(|c| {
+                            let r = mix(q * 1000 + c + 1);
+                            let x0 = c * cell + r % cell;
+                            let x1 = x0 + (r >> 20) % (c * cell + cell - x0);
+                            let y0 = (r >> 40) % span;
+                            let y = (y0, y0 + (r >> 8) % (span - y0));
+                            [(x0, x1), y][..dims].to_vec()
+                        })
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    fn index_of(queries: &[Query], dims: usize) -> SlabIndex {
+        SampleScan::new(queries, dims, 1.0).unwrap().index
+    }
+
+    /// Every box holding `x` sits in `x`'s slab, in its query's run.
+    fn assert_holds_every_hit(index: &SlabIndex, queries: &[Query], dims: usize, x: u64) {
+        let s = slab_of(&index.cuts, x);
+        let (first_run, mut start) = index.slabs[s];
+        let mut registered: Vec<(usize, [u64; 4])> = Vec::new();
+        for &(q, end) in &index.runs[first_run..index.slabs[s + 1].0] {
+            registered.extend(index.boxes[start..end].iter().map(|&b| (q, b)));
+            start = end;
+        }
+        let multi = queries.iter().filter(|q| q.boxes(dims).unwrap().len() > 1);
+        for (q, query) in multi.enumerate() {
+            for axes in query.boxes(dims).unwrap() {
+                let b = flat_box(&axes, dims == 2);
+                if b[0] <= x && x <= b[1] {
+                    assert!(registered.contains(&(q, b)), "x={x}: {b:?} of query {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_index_sizes_itself_from_the_batch() {
+        // The paper-offline shape: 50 queries of 25 boxes.
+        let queries = grid_battery(50, 25, 2);
+        let index = index_of(&queries, 2);
+        let b = 1250;
+        assert!(index.cuts.len() < 36, "K starts at ceil(sqrt(B)) = 36");
+        assert!(
+            index.cuts.windows(2).all(|w| w[0] < w[1]),
+            "{:?}",
+            index.cuts
+        );
+        assert!(
+            index.boxes.len() <= 4 * b,
+            "{} registrations",
+            index.boxes.len()
+        );
+        assert_eq!(index.slabs.len(), index.cuts.len() + 2);
+        assert_eq!(index.accs.len(), 50);
+        // Boxes spanning all of axis 0: K halves down to the 4·B budget.
+        let mut spanning: Vec<Query> = (0..20u64)
+            .map(|q| {
+                Query::MultiRange(
+                    (0..5u64)
+                        .map(|j| vec![(0, u64::MAX), (q * 100 + j * 10, q * 100 + j * 10 + 5)])
+                        .collect(),
+                )
+            })
+            .collect();
+        spanning.extend(grid_battery(4, 25, 2));
+        let index = index_of(&spanning, 2);
+        let b = 200;
+        assert!(
+            index.boxes.len() <= 4 * b,
+            "{} registrations",
+            index.boxes.len()
+        );
+        assert!(index.cuts.len() < 4, "{} slabs", index.cuts.len() + 1);
+        // No multi-box query: an empty index; one distinct x range: one
+        // slab holding the flat layout.
+        assert!(index_of(&[Query::interval(0, 9), Query::Total], 1)
+            .slabs
+            .is_empty());
+        let same_x = [Query::MultiRange(vec![
+            vec![(5, 5), (0, 3)],
+            vec![(5, 5), (9, 9)],
+        ])];
+        let index = index_of(&same_x, 2);
+        assert_eq!(index.runs, vec![(0, 2)]);
+    }
+
+    #[test]
+    fn slab_index_holds_every_box_in_every_slab_it_meets() {
+        for dims in [1, 2] {
+            let mut queries = grid_battery(12, 25, dims);
+            queries.push(Query::MultiRange(vec![
+                vec![(0, 0)],
+                vec![(u64::MAX, u64::MAX)],
+            ]));
+            queries.push(Query::MultiRange(vec![
+                vec![(1, 9)],
+                vec![(10, u64::MAX - 1)],
+            ]));
+            queries.push(Query::interval(3, 70_000));
+            let index = index_of(&queries, dims);
+            let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+            for &c in &index.cuts {
+                probes.extend([c.wrapping_sub(1), c, c.wrapping_add(1)]);
+            }
+            probes.extend((0..200u64).map(|i| i * 331));
+            for x in probes {
+                assert_holds_every_hit(&index, &queries, dims, x);
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_scales_to_the_box_cap() {
+        // 4,096 disjoint intervals (the cap), given out of order.
+        let intervals: Vec<Vec<(u64, u64)>> = (0..MAX_QUERY_BOXES as u64)
+            .rev()
+            .map(|i| vec![(i * 10, i * 10 + 4)])
+            .collect();
+        let Query::MultiRange(sorted) = Query::MultiRange(intervals).canonical().unwrap() else {
+            panic!("4,096 boxes stay a multi-range");
+        };
+        assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        // A 64 × 64 grid of 2-D boxes.
+        let grid: Vec<Vec<(u64, u64)>> = (0..64u64)
+            .flat_map(|i| (0..64u64).map(move |j| vec![(i * 8, i * 8 + 7), (j * 8, j * 8 + 6)]))
+            .collect();
+        assert!(Query::MultiRange(grid).canonical().is_ok());
+    }
+
+    #[test]
+    fn canonical_rejects_overlaps_that_sorting_separates() {
+        // Sorted by axis 0 the overlapping pair is not adjacent: the box
+        // between them is disjoint from both on axis 1.
+        let q = Query::MultiRange(vec![
+            vec![(0, 100), (0, 0)],
+            vec![(10, 10), (5, 5)],
+            vec![(50, 50), (0, 0)],
+        ]);
+        let err = q.canonical().unwrap_err().to_string();
+        assert!(
+            err.contains("[(0, 100), (0, 0)] and [(50, 50), (0, 0)] overlap"),
+            "{err}"
+        );
+        // A box with no axes is full-domain and overlaps everything.
+        let q = Query::MultiRange(vec![vec![(7, 9)], vec![], vec![(20, 30)]]);
+        assert!(q.canonical().is_err());
+        // Touching on axis 0 but apart on axis 1 is disjoint.
+        let q = Query::MultiRange(vec![vec![(0, 10), (0, 4)], vec![(10, 20), (5, 9)]]);
+        assert!(q.canonical().is_ok());
     }
 }

@@ -15,16 +15,23 @@
 //! The sample twin runs the **same kernel** as the owned
 //! `StoredSample::answer_batch`: both compile their queries into one
 //! `query::SampleScan` and feed it the item columns in item order. Single
-//! boxes sit in per-axis bound arrays; every box of every multi-box query
-//! sits in one flat `[x0, x1, y0, y1]` array with per-query end offsets,
-//! tested with a branchless OR-fold. The VarOpt twin **mirrors** the owned
+//! boxes sit in per-axis bound arrays. The boxes of the multi-box queries
+//! sit in an index of slabs along axis 0: each box is registered in every
+//! slab its `[x0, x1]` meets, and an item is tested, with a branchless
+//! OR-fold over each query's boxes, against its own slab's boxes only.
+//! Hits are unchanged: a box that holds the item meets the item's slab, so
+//! the fold over a query's boxes in that slab gives the same hit bit as the
+//! fold over all of them, and every query still folds its hits in item
+//! order. The VarOpt twin **mirrors** the owned
 //! `VarOptSampler::answer_batch` operation for operation: same item order,
 //! same accumulation, same finish. Columns hold the same little-endian
 //! words the v1 wire carries, so every float travels and folds identically
 //! and the answers are bit-identical to decoding the v1 frame and asking
 //! it — pinned by the multi-seed property tests at the bottom of this
 //! file, whose fixtures include a 25-box 2-D and a 30-interval 1-D
-//! multi-range. When one side changes, change the other.
+//! multi-range, and which check both twins against the flat fold the slab
+//! index replaced on batches built to hit the index's edges. When one side
+//! changes, change the other.
 //!
 //! Merging is the one thing a segment cannot do in place:
 //! [`SegmentSummary::hydrate`] rebuilds the owned summary (the store calls
@@ -600,6 +607,7 @@ impl Summary for SegmentSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::flat_fold_reference;
     use crate::{decode_summary, encode_summary};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -756,8 +764,8 @@ mod tests {
 
     #[test]
     fn many_box_values_match_item_order_reference() {
-        // Both twins share one flat-box kernel; pin its OR-fold against the
-        // plain short-circuit `any` over nested boxes, in item order.
+        // Both twins share one slab-indexed kernel; pin its OR-fold against
+        // the plain short-circuit `any` over nested boxes, in item order.
         for seed in 0..40u64 {
             let two_dim = seed % 2 == 1;
             let owned = sample_fixture(seed, two_dim);
@@ -978,5 +986,227 @@ mod tests {
             clone.answer(&q, 0.9).unwrap().value.to_bits(),
             seg.answer(&q, 0.9).unwrap().value.to_bits()
         );
+    }
+
+    /// A sample whose coordinates include both ends of `u64`: in 1-D the
+    /// last 50 of the 300 keys become `u64::MAX − 49 ..= u64::MAX`; in 2-D
+    /// every tenth key sits at `x ∈ {u64::MAX − 2, …, u64::MAX}`.
+    fn edge_fixture(seed: u64, two_dim: bool) -> StoredSample {
+        let data: Vec<WeightedKey> = weighted(300, seed)
+            .into_iter()
+            .map(|wk| match wk.key {
+                k if !two_dim && k >= 250 => WeightedKey::new(u64::MAX - (299 - k), wk.weight),
+                _ => wk,
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let sample = sas_sampling::order::sample(&data, 96, &mut rng);
+        if two_dim {
+            let points: HashMap<u64, Point> = data
+                .iter()
+                .map(|wk| {
+                    let k = wk.key;
+                    let x = if k % 10 == 0 {
+                        u64::MAX - k % 3
+                    } else {
+                        k % 64
+                    };
+                    (k, Point::xy(x, (k * 7919) % 64))
+                })
+                .collect();
+            StoredSample::two_dim(sample, points).unwrap()
+        } else {
+            StoredSample::one_dim(sample)
+        }
+    }
+
+    /// Batches that walk the slab index's edges, each mixing single-box
+    /// queries in with the multi-box ones; `xs` are the sample's distinct
+    /// item `x` values, ascending.
+    fn slab_edge_batches(two_dim: bool, xs: &[u64]) -> Vec<(&'static str, Vec<Query>)> {
+        let max = u64::MAX;
+        // 2-D boxes take `y` as given; 1-D boxes drop it.
+        let bx = |x: (u64, u64), y: (u64, u64)| if two_dim { vec![x, y] } else { vec![x] };
+        let multi = |boxes: Vec<Vec<(u64, u64)>>| Query::MultiRange(boxes);
+        let full_y = (0, max);
+        let mut batches = vec![
+            (
+                "x1 = u64::MAX",
+                vec![
+                    multi(vec![bx((0, 9), full_y), bx((250, max), full_y)]),
+                    multi(vec![bx((max - 1, max), full_y), bx((10, 12), (0, 31))]),
+                    multi(vec![bx((max, max), full_y), bx((0, 0), full_y)]),
+                    Query::interval(max - 20, max),
+                ],
+            ),
+            (
+                "x0 == x1, items on cuts",
+                vec![
+                    // Endpoints on the items' own `x`: point boxes, and
+                    // boxes from one item's `x` up to the next one's.
+                    multi(xs.iter().map(|&x| bx((x, x), full_y)).collect()),
+                    multi(
+                        xs.windows(2)
+                            .map(|w| bx((w[0], w[1] - 1), (0, 40)))
+                            .collect(),
+                    ),
+                    multi((0..40u64).map(|k| bx((k * 3, k * 3), (20, max))).collect()),
+                    multi((0..20u64).map(|k| bx((k * 7, k * 7 + 6), full_y)).collect()),
+                    Query::Point(if two_dim { vec![6, 42] } else { vec![6] }),
+                ],
+            ),
+            (
+                "shared endpoints",
+                vec![
+                    multi(vec![bx((0, 10), full_y), bx((11, 20), full_y)]),
+                    multi(vec![bx((10, 20), (0, 5)), bx((21, 30), (6, 9))]),
+                    multi(vec![
+                        bx((10, 10), full_y),
+                        bx((20, 20), full_y),
+                        bx((30, 40), full_y),
+                    ]),
+                    multi(vec![
+                        bx((0, 9), full_y),
+                        bx((20, 29), full_y),
+                        bx((40, 49), full_y),
+                    ]),
+                    Query::interval(10, 20),
+                ],
+            ),
+            (
+                "boxes spanning every slab",
+                (0..40u64)
+                    .map(|q| {
+                        let split = 5 + q * 7;
+                        if two_dim {
+                            multi(
+                                (0..4u64)
+                                    .map(|j| vec![(0, max), (q + j * 16, q + j * 16 + 3)])
+                                    .collect(),
+                            )
+                        } else {
+                            multi(vec![vec![(0, split)], vec![(split + 1, max)]])
+                        }
+                    })
+                    .chain([
+                        multi(vec![bx((3, 4), full_y), bx((8, 9), full_y)]),
+                        Query::Total,
+                    ])
+                    .collect(),
+            ),
+        ];
+        if two_dim {
+            batches.push((
+                "all boxes in one slab",
+                vec![
+                    multi(
+                        (0..16u64)
+                            .map(|j| vec![(5, 5), (j * 4, j * 4 + 2)])
+                            .collect(),
+                    ),
+                    multi(vec![vec![(5, 5), (0, 0)], vec![(5, 5), (63, 63)]]),
+                    Query::BoxRange(vec![(0, 31), (0, 31)]),
+                ],
+            ));
+        }
+        batches.push(("probe queries", probe_queries(two_dim)));
+        batches
+    }
+
+    /// The segment twin's item stream, straight from its columns, as the
+    /// flat reference takes it.
+    fn segment_items(seg: &SegmentSummary) -> Vec<(u64, u64, f64, f64)> {
+        let Layout::Sample {
+            dims,
+            keys,
+            weights,
+            adjusted,
+            xs,
+            ys,
+            ..
+        } = seg.layout
+        else {
+            panic!("a sample segment");
+        };
+        let b = seg.data();
+        let wa = f64s(weights.slice(b)).zip(f64s(adjusted.slice(b)));
+        if dims == 2 {
+            u64s(xs.slice(b))
+                .zip(u64s(ys.slice(b)))
+                .zip(wa)
+                .map(|((x, y), (w, a))| (x, y, w, a))
+                .collect()
+        } else {
+            u64s(keys.slice(b))
+                .zip(wa)
+                .map(|(k, (w, a))| (k, 0, w, a))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn slab_index_matches_flat_fold_reference() {
+        // The slab index against the flat fold it replaced, on both twins,
+        // bit for bit, over batches built to hit its edges.
+        for seed in 0..30u64 {
+            let two_dim = seed % 2 == 1;
+            let owned = edge_fixture(seed, two_dim);
+            let seg = SegmentSummary::from_vec(encode_segment(&owned).unwrap()).unwrap();
+            let owned_items: Vec<(u64, u64, f64, f64)> = (0..owned.len())
+                .map(|i| {
+                    let (x, y) = if two_dim {
+                        (owned.xs()[i], owned.ys()[i])
+                    } else {
+                        (owned.keys()[i], 0)
+                    };
+                    (x, y, owned.weights()[i], owned.adjusted_weights()[i])
+                })
+                .collect();
+            let dims = owned.dims();
+            let tau = owned.tau();
+            let mut xs: Vec<u64> = owned_items.iter().map(|it| it.0).collect();
+            xs.sort_unstable();
+            xs.dedup();
+            for (name, queries) in slab_edge_batches(two_dim, &xs) {
+                let scan = crate::query::SampleScan::new(&queries, dims, tau).unwrap();
+                let (cuts, registrations) = scan.slab_shape();
+                let slabs = cuts.len() + 1;
+                let boxes: usize = queries
+                    .iter()
+                    .map(|q| q.boxes(dims).unwrap().len())
+                    .filter(|&n| n > 1)
+                    .sum();
+                assert!(
+                    registrations <= 4 * boxes,
+                    "{name}: {registrations} > 4·{boxes}"
+                );
+                match name {
+                    "boxes spanning every slab" => assert!(
+                        slabs < (boxes as f64).sqrt().ceil() as usize,
+                        "{name}: K = {slabs} was never halved"
+                    ),
+                    "all boxes in one slab" => assert_eq!(registrations, boxes, "{name}"),
+                    "x0 == x1, items on cuts" => assert!(
+                        xs.iter().any(|x| cuts.contains(x)),
+                        "{name}: no item on a cut {cuts:?}"
+                    ),
+                    _ => {}
+                }
+                for (twin, s, items) in [
+                    ("owned", &owned as &dyn Summary, owned_items.clone()),
+                    ("segment", &seg, segment_items(&seg)),
+                ] {
+                    let got = s.answer_batch(&queries, 0.9).unwrap();
+                    let want =
+                        flat_fold_reference(&queries, dims, tau, items.into_iter(), 0.9).unwrap();
+                    for ((q, x), y) in queries.iter().zip(&got).zip(&want) {
+                        let bits = |e: &Estimate| {
+                            [e.value, e.variance, e.lower, e.upper, e.confidence].map(f64::to_bits)
+                        };
+                        assert_eq!(bits(x), bits(y), "seed {seed} {twin} {name}: {q}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -60,6 +60,7 @@ answer_loop_1d_qps=$(field "$tmp/query.json" answer_loop_1d_qps)
 answer_batch_2d_qps=$(field "$tmp/query.json" answer_batch_2d_qps)
 answer_loop_2d_qps=$(field "$tmp/query.json" answer_loop_2d_qps)
 answer_batch_multi_2d_qps=$(field "$tmp/query.json" answer_batch_multi_2d_qps)
+answer_multi_small_2d_qps=$(field "$tmp/query.json" answer_multi_small_2d_qps)
 bound_intervals_per_s=$(field "$tmp/query.json" bound_intervals_per_s)
 store_hot_8t_ops_per_s=$(field "$tmp/query.json" store_hot_8t_ops_per_s)
 cold_query_view_qps=$(field "$tmp/cold.json" cold_query_view_qps)
@@ -84,6 +85,7 @@ cold_query_decode_qps=$(field "$tmp/cold.json" cold_query_decode_qps)
     answer_batch_2d_qps "$answer_batch_2d_qps" \
     answer_loop_2d_qps "$answer_loop_2d_qps" \
     answer_batch_multi_2d_qps "$answer_batch_multi_2d_qps" \
+    answer_multi_small_2d_qps "$answer_multi_small_2d_qps" \
     bound_intervals_per_s "$bound_intervals_per_s" \
     cold_query_view_qps "$cold_query_view_qps" \
     cold_query_decode_qps "$cold_query_decode_qps"
