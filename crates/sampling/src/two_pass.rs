@@ -36,6 +36,17 @@
 //! filling an empty slot draws nothing; after the kd or hierarchy sweep
 //! only the root's slot can still hold an active; and order cells drain in
 //! index order, which is their left-to-right order.
+//!
+//! **Chunked locate (product).** [`sample_product`]'s pass 2 buffers its
+//! positive-weight keys `CHUNK` (64) at a time and copies their coordinates
+//! into one reused flat buffer. It locates the whole chunk with
+//! [`KdHierarchy::locate_many`], whose lanes descend the kd tree in
+//! lock-step, and then replays the chunk through `IO-AGGREGATE` in stream
+//! order. Memory grows to `O(s′ + CHUNK)`. The replay keeps every random
+//! draw and every `included` push in the per-key order, so samples are
+//! bit-identical: heavy keys (weight ≥ τ) are queued with the light ones
+//! and reach `included` at their own stream position, not on arrival.
+//! Zero-weight keys are skipped, as before; they never draw or push.
 
 use std::collections::HashMap;
 
@@ -227,23 +238,11 @@ pub fn sample_product<R: Rng + ?Sized>(
     let tree = KdHierarchy::build(light_items, 0.0);
 
     // ---- Pass 2: IO-AGGREGATE keyed by kd leaf cell -----------------------
-    let mut agg = IoAggregator::new(tau, tree.node_count());
-    for (wk, point) in data.keys.iter().zip(&data.points) {
-        if wk.weight <= 0.0 {
-            continue;
-        }
-        if wk.weight >= tau {
-            agg.included.push((wk.key, wk.weight));
-            continue;
-        }
-        let cell = tree.locate(point);
-        agg.push(cell as usize, wk.key, wk.weight, rng);
-    }
     let IoAggregator {
         active: mut up,
         mut included,
         ..
-    } = agg;
+    } = aggregate_product(data, &tree, tau, rng);
 
     // ---- Finish: aggregate actives bottom-up along the kd hierarchy ------
     // Actives sit in leaf slots only. Children always have larger arena ids
@@ -260,6 +259,78 @@ pub fn sample_product<R: Rng + ?Sized>(
     }
     finish_ordered(up.into_iter().flatten(), &mut included, rng);
     build_sample(included, tau)
+}
+
+/// Keys that pass 2 of [`sample_product`] locates together: enough lanes
+/// to overlap their descents' loads, few enough that the chunk's buffers
+/// stay in L1. Chunks of 32 to 512 locate equally fast within measurement
+/// noise.
+const CHUNK: usize = 64;
+
+/// Pass 2 of [`sample_product`]: `IO-AGGREGATE` over the leaf cells of
+/// `tree`. Positive-weight keys are buffered `CHUNK` at a time, their
+/// coordinates copied into one flat buffer. Each chunk is located with one
+/// [`KdHierarchy::locate_many`] and then replayed through
+/// [`IoAggregator::push`] in stream order. Heavy keys go through the replay
+/// too, so they reach `included` at their own stream position.
+fn aggregate_product<R: Rng + ?Sized>(
+    data: &SpatialData,
+    tree: &KdHierarchy,
+    tau: f64,
+    rng: &mut R,
+) -> IoAggregator {
+    let mut agg = IoAggregator::new(tau, tree.node_count());
+    let mut lanes: Vec<&WeightedKey> = Vec::with_capacity(CHUNK);
+    let mut coords: Vec<u64> = Vec::with_capacity(CHUNK * tree.dim());
+    let mut cells = [0; CHUNK];
+    let mut keys = data.keys.iter().zip(&data.points);
+    loop {
+        lanes.clear();
+        coords.clear();
+        for (wk, point) in keys.by_ref() {
+            if wk.weight <= 0.0 {
+                continue;
+            }
+            lanes.push(wk);
+            coords.extend_from_slice(&point.coords);
+            if lanes.len() == CHUNK {
+                break;
+            }
+        }
+        if lanes.is_empty() {
+            return agg;
+        }
+        let cells = &mut cells[..lanes.len()];
+        tree.locate_many(&coords, cells);
+        for (wk, &cell) in lanes.iter().zip(cells.iter()) {
+            agg.push(cell as usize, wk.key, wk.weight, rng);
+        }
+    }
+}
+
+/// The per-key pass 2 that [`aggregate_product`] replaced: each key is
+/// located on its own and heavy keys are included on arrival. Kept as the
+/// reference the chunked pass must match bit for bit.
+#[cfg(test)]
+fn aggregate_product_per_key<R: Rng + ?Sized>(
+    data: &SpatialData,
+    tree: &KdHierarchy,
+    tau: f64,
+    rng: &mut R,
+) -> IoAggregator {
+    let mut agg = IoAggregator::new(tau, tree.node_count());
+    for (wk, point) in data.keys.iter().zip(&data.points) {
+        if wk.weight <= 0.0 {
+            continue;
+        }
+        if wk.weight >= tau {
+            agg.included.push((wk.key, wk.weight));
+            continue;
+        }
+        let cell = tree.locate(point);
+        agg.push(cell as usize, wk.key, wk.weight, rng);
+    }
+    agg
 }
 
 /// Two-pass structure-aware sampling for **order structures**: the partition
@@ -456,7 +527,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sas_structures::product::BoxRange;
+    use sas_structures::product::{BoxRange, Point};
 
     fn random_spatial(n: usize, side: u64, seed: u64) -> SpatialData {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -658,6 +729,86 @@ mod tests {
         let h = sas_structures::hierarchy::figure1_hierarchy();
         let mut rng = StdRng::seed_from_u64(31);
         sample_hierarchy_ancestors(&figure1_data_with_stray_key(), &h, 4, 2, &mut rng);
+    }
+
+    fn random_point(dim: usize, rng: &mut StdRng) -> Point {
+        Point::new((0..dim).map(|_| rng.gen_range(0..16)).collect())
+    }
+
+    /// An aggregator's state as bits: the included keys in order, every
+    /// active slot, and the next draw of the RNG that drove it.
+    type StateBits = (Vec<(KeyId, u64)>, Vec<Option<(KeyId, u64, u64)>>, u64);
+
+    fn state_bits(agg: &IoAggregator, rng: &mut StdRng) -> StateBits {
+        (
+            agg.included
+                .iter()
+                .map(|&(k, w)| (k, w.to_bits()))
+                .collect(),
+            agg.active
+                .iter()
+                .map(|a| a.map(|a| (a.key, a.p.to_bits(), a.weight.to_bits())))
+                .collect(),
+            rng.gen(),
+        )
+    }
+
+    #[test]
+    fn chunked_pass2_matches_per_key_at_chunk_edges() {
+        let tau = 4.0;
+        for dim in 1..=3 {
+            for positives in [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1] {
+                for seed in 0..3u64 {
+                    let mut rng = StdRng::seed_from_u64(1000 * seed + positives as u64);
+                    // Heavy keys on the last lane of the first chunk, the
+                    // first lane of the second and the last key; zero-weight
+                    // keys straddle the chunk boundaries.
+                    let heavy = [CHUNK - 1, CHUNK, positives - 1];
+                    let zero_before = [0, CHUNK - 1, CHUNK, 2 * CHUNK];
+                    let mut weights = Vec::new();
+                    for j in 0..positives {
+                        if zero_before.contains(&j) {
+                            weights.push(0.0);
+                        }
+                        weights.push(match heavy.iter().position(|&h| h == j) {
+                            Some(0) => tau,
+                            Some(_) => 50.0,
+                            None => rng.gen_range(0.1..3.9),
+                        });
+                    }
+                    weights.push(0.0);
+                    let keys: Vec<WeightedKey> = (0..)
+                        .zip(&weights)
+                        .map(|(k, &w)| WeightedKey::new(k, w))
+                        .collect();
+                    let points = weights
+                        .iter()
+                        .map(|_| random_point(dim, &mut rng))
+                        .collect();
+                    let data = SpatialData::new(keys, points);
+                    // Few guide cells, so cells refill and pair aggregations
+                    // include light keys in the middle of a chunk.
+                    let guide: Vec<KdItem> = (0..6)
+                        .map(|key| KdItem {
+                            key,
+                            point: random_point(dim, &mut rng),
+                            prob: 0.5,
+                        })
+                        .collect();
+                    let tree = KdHierarchy::build(guide, 0.0);
+
+                    let mut chunked_rng = StdRng::seed_from_u64(seed);
+                    let mut per_key_rng = StdRng::seed_from_u64(seed);
+                    let chunked = aggregate_product(&data, &tree, tau, &mut chunked_rng);
+                    let per_key = aggregate_product_per_key(&data, &tree, tau, &mut per_key_rng);
+                    assert_eq!(
+                        state_bits(&chunked, &mut chunked_rng),
+                        state_bits(&per_key, &mut per_key_rng),
+                        "dim {dim}, {positives} positive keys, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

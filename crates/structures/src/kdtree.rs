@@ -13,11 +13,24 @@
 //! substitution is documented in `DESIGN.md`.
 //!
 //! Two stopping rules are supported:
-//! * `max_leaf_mass = 0.0` — split all the way down to single keys
-//!   (the main-memory algorithm of Section 4);
-//! * `max_leaf_mass = 1.0` — stop at "s-leaves" of mass ≤ 1 (the partition
-//!   used by the two-pass algorithm of Section 5 and by the analysis in
-//!   Appendix E).
+//! * `max_leaf_mass = 0.0` — split all the way down to single keys. The
+//!   main-memory algorithm of Section 4 builds this way, and so does the
+//!   two-pass algorithm of Section 5 (`sas_sampling::two_pass`), over its
+//!   light guide keys: one guide key per leaf cell.
+//! * `max_leaf_mass = 1.0` — stop at "s-leaves" of mass ≤ 1. Only the
+//!   analysis of Appendix E ([`KdHierarchy::s_leaves`],
+//!   [`KdHierarchy::boundary_cells`]) and its tests use this rule.
+//!
+//! **Descent table.** `build` ends by flattening the tree into one 24-byte
+//! step per node (`split`, the two next node ids, `axis`) and recording the
+//! tree's height. A point at node `n` moves to `next[coord(axis) > split]`.
+//! In a leaf, `split = u64::MAX` and both next ids are the leaf itself, so
+//! a point that has reached its leaf stays there. After `height` steps
+//! every point is therefore in its leaf, whatever the leaf's depth.
+//! [`KdHierarchy::locate_many`] uses this to move a batch of points one
+//! step at a time in lock-step: no step depends on a branch, and the
+//! batch's loads overlap instead of each waiting on the one before it.
+//! [`KdHierarchy::locate`] is the one-point batch.
 
 use crate::order::Interval;
 use crate::product::{BoxRange, Point};
@@ -53,6 +66,17 @@ enum KdNodeKind {
     },
 }
 
+/// One node's entry in the descent table (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// Points with `coord(axis) <= split` go to `next[0]`; `u64::MAX` in
+    /// leaves.
+    split: u64,
+    /// Left and right child; in leaves, the leaf itself twice.
+    next: [KdNodeId; 2],
+    axis: u32,
+}
+
 #[derive(Debug, Clone)]
 struct KdNode {
     kind: KdNodeKind,
@@ -69,6 +93,10 @@ pub struct KdHierarchy {
     nodes: Vec<KdNode>,
     items: Vec<KdItem>,
     dim: usize,
+    /// The descent table, one step per node.
+    steps: Vec<Step>,
+    /// Depth of the deepest leaf.
+    height: u32,
 }
 
 impl KdHierarchy {
@@ -98,9 +126,31 @@ impl KdHierarchy {
             nodes: Vec::new(),
             items,
             dim,
+            steps: Vec::new(),
+            height: 0,
         };
         let all: Vec<u32> = (0..tree.items.len() as u32).collect();
         tree.build_rec(all, 0, full_cell, max_leaf_mass);
+        tree.steps = (0..tree.nodes.len() as KdNodeId)
+            .map(|n| match tree.nodes[n as usize].kind {
+                KdNodeKind::Internal {
+                    axis,
+                    split,
+                    left,
+                    right,
+                } => Step {
+                    split,
+                    next: [left, right],
+                    axis: axis as u32,
+                },
+                KdNodeKind::Leaf { .. } => Step {
+                    split: u64::MAX,
+                    next: [n, n],
+                    axis: 0,
+                },
+            })
+            .collect();
+        tree.height = tree.nodes.iter().map(|n| n.depth).max().unwrap_or(0);
         tree
     }
 
@@ -221,6 +271,11 @@ impl KdHierarchy {
         self.dim
     }
 
+    /// Depth of the deepest leaf (0 for a single-leaf tree).
+    pub fn height(&self) -> u32 {
+        self.height
+    }
+
     /// Total number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -275,22 +330,35 @@ impl KdHierarchy {
     }
 
     /// Locates the leaf cell containing an arbitrary point of the domain
-    /// (not necessarily one of the build items) — used by the second pass of
-    /// the I/O-efficient algorithm.
+    /// (not necessarily one of the build items).
     pub fn locate(&self, p: &Point) -> KdNodeId {
         assert_eq!(p.dim(), self.dim, "dimension mismatch");
-        let mut n = self.root();
-        loop {
-            match self.nodes[n as usize].kind {
-                KdNodeKind::Leaf { .. } => return n,
-                KdNodeKind::Internal {
-                    axis,
-                    split,
-                    left,
-                    right,
-                } => {
-                    n = if p.coord(axis) <= split { left } else { right };
-                }
+        let mut leaf = [self.root()];
+        self.locate_many(&p.coords, &mut leaf);
+        leaf[0]
+    }
+
+    /// Locates the leaf cell of every point in a batch: `coords` holds the
+    /// points back to back, [`dim`](Self::dim) coordinates each, and
+    /// `out[i]` receives the leaf of point `i`. All points descend the
+    /// descent table together, one step per round, for
+    /// [`height`](Self::height) rounds (see the module docs). The second
+    /// pass of the I/O-efficient algorithm locates its keys this way.
+    ///
+    /// # Panics
+    /// Panics if `coords.len() != out.len() * dim`.
+    pub fn locate_many(&self, coords: &[u64], out: &mut [KdNodeId]) {
+        assert_eq!(
+            coords.len(),
+            out.len() * self.dim,
+            "locate_many needs {} coordinates per point",
+            self.dim
+        );
+        out.fill(self.root());
+        for _ in 0..self.height {
+            for (n, p) in out.iter_mut().zip(coords.chunks_exact(self.dim)) {
+                let step = self.steps[*n as usize];
+                *n = step.next[usize::from(p[step.axis as usize] > step.split)];
             }
         }
     }
@@ -352,6 +420,7 @@ mod tests {
             0.0,
         );
         assert_eq!(t.node_count(), 1);
+        assert_eq!(t.height(), 0);
         assert!(t.is_leaf(t.root()));
         assert_eq!(t.locate(&Point::xy(100, 100)), t.root());
     }

@@ -18,8 +18,95 @@ fn items_strategy() -> impl Strategy<Value = Vec<KdItem>> {
     })
 }
 
+/// Coordinates drawn from a few values that include the domain's edges,
+/// so splits land next to 0 and `u64::MAX`.
+const EDGE_COORDS: [u64; 6] = [0, 1, 2, 1 << 40, u64::MAX - 1, u64::MAX];
+
+/// Items in 1 to 3 dimensions over `EDGE_COORDS`: co-located points, and
+/// with them forced leaves holding several items, are common.
+fn dim_items_strategy() -> impl Strategy<Value = (usize, Vec<KdItem>)> {
+    (
+        1usize..4,
+        prop::collection::vec((0usize..6, 0usize..6, 0usize..6, 0.01f64..1.0), 1..60),
+    )
+        .prop_map(|(dim, rows)| {
+            let items = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (x, y, z, p))| KdItem {
+                    key: i as u64,
+                    point: Point::new([x, y, z][..dim].iter().map(|&c| EDGE_COORDS[c]).collect()),
+                    prob: p,
+                })
+                .collect();
+            (dim, items)
+        })
+}
+
+/// Probe points, back to back: every item, and on each axis every cell
+/// bound of the tree (each split, each split + 1, 0 and `u64::MAX`) with
+/// the other axes taken from the items in turn.
+fn probe_coords(tree: &KdHierarchy, items: &[KdItem]) -> Vec<u64> {
+    let dim = tree.dim();
+    let mut probes: Vec<u64> = items
+        .iter()
+        .flat_map(|it| it.point.coords.clone())
+        .collect();
+    for axis in 0..dim {
+        let mut bounds: Vec<u64> = (0..tree.node_count() as u32)
+            .flat_map(|n| {
+                let side = tree.cell(n).sides[axis];
+                [side.lo, side.hi]
+            })
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        for (k, &b) in bounds.iter().enumerate() {
+            let other = &items[k % items.len()].point;
+            probes.extend((0..dim).map(|a| if a == axis { b } else { other.coord(a) }));
+        }
+    }
+    probes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn locate_many_matches_locate_and_cells(case in dim_items_strategy()) {
+        let (dim, items) = case;
+        let tree = KdHierarchy::build(items.clone(), 0.0);
+        let probes = probe_coords(&tree, &items);
+        let leaves = tree.leaves();
+        let n = probes.len() / dim;
+        // Batches of 0, 1 and odd lengths, then whatever is left.
+        let mut start = 0;
+        for len in [0, 1, 3, 0, 7].into_iter().chain(std::iter::repeat(11)) {
+            if start >= n {
+                break;
+            }
+            let len = usize::min(len, n - start);
+            let mut out = vec![u32::MAX; len];
+            tree.locate_many(&probes[start * dim..(start + len) * dim], &mut out);
+            for (i, &leaf) in out.iter().enumerate() {
+                let p = Point::new(probes[(start + i) * dim..(start + i + 1) * dim].to_vec());
+                prop_assert_eq!(leaf, tree.locate(&p), "probe {:?}", p.coords);
+                prop_assert!(tree.is_leaf(leaf));
+                prop_assert!(tree.depth(leaf) <= tree.height());
+                let covering: Vec<u32> =
+                    leaves.iter().copied().filter(|&l| tree.cell(l).contains(&p)).collect();
+                prop_assert_eq!(covering, vec![leaf], "probe {:?}", p.coords);
+            }
+            start += len;
+        }
+
+        // A single-item tree is one leaf of height 0 that every point lands in.
+        let single = KdHierarchy::build(items[..1].to_vec(), 0.0);
+        prop_assert_eq!(single.height(), 0);
+        let mut out = vec![u32::MAX; n];
+        single.locate_many(&probes, &mut out);
+        prop_assert!(out.iter().all(|&leaf| leaf == single.root()));
+    }
 
     #[test]
     fn mass_conserved_and_children_partition(items in items_strategy()) {
