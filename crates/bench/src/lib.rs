@@ -280,10 +280,9 @@ pub fn rank_value(sorted: &[f64], p: f64) -> f64 {
 
 /// Asserts that a histogram snapshot's p50/p95/p99 each land within one
 /// log-bucket of the sort-based percentile over the raw latencies
-/// (milliseconds, ascending). Shared by the `store` and `cold` bins, whose
-/// reported percentiles come from [`sas_obs::Histogram`] — the same math
-/// the daemon's metrics endpoint serves — with the raw vector kept as
-/// ground truth.
+/// (milliseconds, ascending). The `cold` bin's reported percentiles come
+/// from [`sas_obs::Histogram`] — the same math the daemon's metrics
+/// endpoint serves — with the raw vector kept as ground truth.
 pub fn assert_hist_matches_sorted(
     snap: &sas_obs::HistogramSnapshot,
     sorted_ms: &[f64],

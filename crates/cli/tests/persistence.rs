@@ -1,8 +1,8 @@
 //! End-to-end persistence tests for the `sas` binary: the save → merge →
-//! query workflow across *separate process invocations*, certifying the
-//! acceptance criterion that a summary written by `sas summarize --out`,
-//! merged from shard files in another process, answers range queries
-//! **bit-identically** to the same merge performed in-memory.
+//! query workflow across *separate process invocations*, certifying that
+//! a summary written by `sas summarize --out`, merged from shard files in
+//! another process, answers range queries **bit-identically** to the same
+//! merge performed in-memory.
 
 mod common;
 

@@ -7,9 +7,10 @@
 //! `2d·s^((d−1)/d)` boundary cells — only those contribute discrepancy, as
 //! interior cells are counted exactly.
 //!
-//! This is the cleanest demonstration of the paper's d-dimensional bound
-//! and is used by tests to validate the general kd-based sampler against
-//! the analytically tractable case.
+//! This is the cleanest demonstration of the paper's d-dimensional bound.
+//! Only this module's own tests exercise it; nothing else in the workspace
+//! calls it, and the general kd-based sampler is validated by its own
+//! tests, not against this case.
 
 use rand::Rng;
 

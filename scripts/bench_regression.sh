@@ -4,11 +4,12 @@
 #   usage: scripts/bench_regression.sh <current.json> [baseline.json]
 #          scripts/bench_regression.sh --core <current.json> [baseline.json]
 #
-# Default mode gates the store daemon bench (sas-bench --bin store, daemon
-# phase) against BENCH_store.json: any error/BUSY response or unanswered
-# request is a hard failure, and throughput may not collapse below a
-# quarter of the committed baseline (shared hardware jitters; a 4x slide
-# is a regression, not noise).
+# Default mode gates the throughput-only c10k daemon bench (sas-bench
+# --bin store) against BENCH_store.json: any error/BUSY response or
+# unanswered request is a hard failure, and throughput may not collapse
+# below a quarter of the committed baseline (shared hardware jitters; a 4x
+# slide is a regression, not noise). Latency is not gated here; the
+# open-loop perfbench daemon-read workload measures it.
 #
 # --core gates the core bench rollup (scripts/bench_core.sh) against
 # BENCH_core.json the same way: every rate must stay above baseline/4,

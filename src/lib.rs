@@ -26,11 +26,16 @@
 //!   persistence, and the `sas serve` TCP daemon.
 //! * [`data`] — synthetic workload and query generators.
 //!
+//! The analyses the paper motivates sampling with — heavy hitters,
+//! quantiles over subsets, comparisons across periods — are subset-sum
+//! questions asked through [`Summary::answer`] (or
+//! [`store::Store::estimate`] over time windows); `tests/served_analyses.rs`
+//! pins the properties they rely on.
+//!
 //! See `examples/quickstart.rs` for a guided tour
 //! (`examples/save_merge_query.rs` for the persistence workflow), and
 //! `DESIGN.md` / `EXPERIMENTS.md` for the experiment index.
 
-pub use sas_apps as apps;
 pub use sas_codec as codec;
 pub use sas_core as core;
 pub use sas_data as data;

@@ -124,10 +124,9 @@ fn windowed_store_tracks_direct_summaries_across_kinds_and_restart() {
 
 #[test]
 fn facade_estimates_across_kinds_and_compaction() {
-    // The facade path of the PR-5 acceptance criterion: Store::estimate
-    // returns an Estimate with bounds for sampled *and* deterministic
-    // series, the value agrees bit-for-bit with the legacy path, and the
-    // guarantee survives compaction.
+    // Through the facade: Store::estimate returns an Estimate with bounds
+    // for sampled *and* deterministic series, the value agrees bit-for-bit
+    // with the legacy path, and the guarantee survives compaction.
     use structure_aware_sampling::Query;
     let dir = temp_dir("estimate");
     let store = Store::open(&dir, StoreConfig::default()).unwrap();
